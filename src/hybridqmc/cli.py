@@ -10,7 +10,6 @@ identical flags produce byte-identical output regardless of --workers.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .discrepancy import (
@@ -21,11 +20,12 @@ from .discrepancy import (
     prefix_reduction_bound,
     star_discrepancy_1d,
     star_discrepancy_exact,
+    write_atomic,
 )
-from .gfpoly import ParseError, poly_parse
+from .gfpoly import ParseError, irreducible_poly, poly_parse
 from .plattice import LatticeConfig, korobov_qvec, plattice_point_laurent
 from .search import search_exhaustive, search_korobov
-from .seqgen import HaltonConfig, halton_point, hybrid_point_set
+from .seqgen import HaltonConfig, halton_point, hybrid_point, hybrid_point_set
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -118,10 +118,7 @@ def _lattice_cfg(args) -> LatticeConfig:
 def _emit(lines, output):
     payload = "\n".join(lines) + "\n"
     if output:
-        tmp = f"{output}.tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(payload)
-        os.replace(tmp, output)
+        write_atomic(output, payload)
     else:
         sys.stdout.write(payload)
 
@@ -153,8 +150,6 @@ def _cmd_gen(args) -> int:
         lattice = _lattice_cfg(args)
         m = lattice.m
         if args.n is not None:
-            from .seqgen import hybrid_point
-
             points = [hybrid_point(args.n, m, halton, lattice)]
         else:
             points = hybrid_point_set(m, halton, lattice, args.count)
@@ -205,18 +200,11 @@ def _cmd_disc(args) -> int:
 def _cmd_search(args) -> int:
     p = args.p
     halton = HaltonConfig.make(p, _parse_polys(args.bases, p))
-    if args.px:
-        pX = poly_parse(args.px, p)
-    else:
-        from .gfpoly import irreducible_poly
-
-        pX = irreducible_poly(p, args.m)
+    pX = poly_parse(args.px, p) if args.px else irreducible_poly(p, args.m)
     if pX.degree != args.m:
         raise ValueError("modulus degree must equal m")
-    if args.mode == "exhaustive":
-        result = search_exhaustive(args.m, args.t, halton, pX, budget=args.budget)
-    else:
-        result = search_korobov(args.m, args.t, halton, pX)
+    search = search_exhaustive if args.mode == "exhaustive" else search_korobov
+    result = search(args.m, args.t, halton, pX, budget=args.budget)
     _emit([result.to_json(top=args.top)], args.output)
     return EXIT_OK if result.existence_ok else EXIT_PRECONDITION
 

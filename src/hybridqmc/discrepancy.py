@@ -15,6 +15,7 @@ classes grouped by modulus shape, and the Walsh-sum bound per shape.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from bisect import bisect_left, bisect_right
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .gfpoly import BasePRational, Poly, poly_gcd
+from .gfpoly import BasePRational, ParseError, Poly, as_prime, poly_gcd
 from .plattice import LatticeConfig
 from .seqgen import HaltonConfig
 from .walsh import _modulus_bound
@@ -360,30 +361,25 @@ def discrepancy_certificate(
             raise ValueError("Halton base shares a factor with the lattice modulus")
     degrees = halton_cfg.degrees
     s = halton_cfg.s
-    zero = Fraction(0) if p == 2 else 0.0
-    levels = []
-    for u in range(m + 1):
-        if u == 0:
-            levels.append(LevelBreakdown(0, 1 + zero, ()))
-            continue
+    levels = [LevelBreakdown(0, Fraction(1), ())]
+    for u in range(1, m + 1):
         f = [-(-u // e) for e in degrees]
         shapes = []
-        value = s + zero
+        value = Fraction(s)
         for exps in itertools.product(*(range(1, fi + 1) for fi in f)):
             deg_b = sum(e * j for e, j in zip(degrees, exps))
             mult = 1
             for e, j, fi in zip(degrees, exps, f):
                 mult *= (p**e - 1) + (1 if j == fi else 0)
-            if deg_b > u:
-                bound = 1 + zero
-                d = u - deg_b
+            d = u - deg_b
+            if d < 0:
+                bound = Fraction(1)
             else:
-                d = u - deg_b
                 modulus = Poly.one(p)
                 for b, j in zip(halton_cfg.bases, exps):
                     for _ in range(j):
                         modulus = modulus * b
-                bound = min(_modulus_bound(lattice_cfg, modulus, d), p**d + zero)
+                bound = _modulus_bound(lattice_cfg, modulus, d)
             shapes.append(ShapeContribution(exps, deg_b, d, mult, bound))
             value += mult * bound
         levels.append(LevelBreakdown(u, value, tuple(shapes)))
@@ -428,11 +424,21 @@ def save_point_set(path, points, meta: dict, fmt: str = "rational", precision: i
             lines.append(f"# {key}={meta[key]}")
     for pt in points:
         lines.append(format_point_line(pt, fmt, precision))
-    payload = "\n".join(lines) + "\n"
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_atomic(path, text: str):
+    """Write ASCII text to path through a fresh temporary file next to it,
+    renamed into place on success and removed on failure."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="ascii") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_point_set(path):
@@ -448,12 +454,19 @@ def load_point_set(path):
                 body = line[1:].strip()
                 if "=" in body:
                     key, _, val = body.partition("=")
-                    meta[key.strip()] = int(val.strip())
+                    meta[key.strip()] = _parse_header_value(key.strip(), val.strip(), line)
                 continue
             rows.append(tuple(_parse_coordinate(tok, meta) for tok in line.split()))
     if not rows:
         raise ValueError(f"no points in {path}")
     return PointSetD(rows), meta
+
+
+def _parse_header_value(key: str, text: str, line: str) -> int:
+    try:
+        return as_prime(int(text)) if key == "p" else int(text)
+    except ValueError as exc:
+        raise ParseError(f"bad header {key}={text}: {exc}", line.index("=") + 1) from None
 
 
 def _parse_coordinate(token: str, meta: dict):

@@ -23,9 +23,12 @@ from .gfpoly import (
     BasePRational,
     Poly,
     ResidueClass,
+    as_prime,
     laurent_coeffs,
     poly_from_int,
     poly_gcd,
+    poly_is_irreducible,
+    poly_to_int,
 )
 
 
@@ -38,8 +41,6 @@ class LatticeConfig:
     generators: tuple
 
     def __post_init__(self):
-        from .gfpoly import as_prime, poly_is_irreducible
-
         object.__setattr__(self, "p", as_prime(self.p))
         object.__setattr__(self, "generators", tuple(self.generators))
         pX = self.modulus
@@ -70,13 +71,6 @@ class LatticeConfig:
     @property
     def n_points(self) -> int:
         return self.p**self.m
-
-    @functools.cached_property
-    def laurent_prefixes(self) -> tuple:
-        """(a_1, ..., a_{2m-1}) of {q_i/pX} per generator, computed once."""
-        return tuple(
-            laurent_coeffs(q, self.modulus, 2 * self.m - 1) for q in self.generators
-        )
 
 
 def plattice_point_laurent(n: int, cfg: LatticeConfig) -> tuple:
@@ -116,12 +110,16 @@ class GeneratingMatrix:
 
 def build_generating_matrix(q_i: Poly, pX: Poly) -> GeneratingMatrix:
     """Hankel matrix from the (2m-1)-prefix of {q_i/pX}."""
-    m = pX.degree
-    if not q_i.degree < m:
+    if not q_i.degree < pX.degree:
         raise ValueError("generator degree must be below modulus degree")
-    a = laurent_coeffs(q_i, pX, 2 * m - 1)
-    rows = tuple(tuple(a[r + c] for c in range(m)) for r in range(m))
-    return GeneratingMatrix(q_i.p, rows)
+    return GeneratingMatrix(q_i.p, digit_matrix(q_i, pX, pX.degree))
+
+
+def _digits_to_int(digits, p: int) -> int:
+    num = 0
+    for y in digits:
+        num = num * p + y
+    return num
 
 
 def plattice_point_matrix(n: int, matrices) -> tuple:
@@ -133,18 +131,11 @@ def plattice_point_matrix(n: int, matrices) -> tuple:
     m = matrices[0].m
     if not 0 <= n < p**m:
         raise ValueError(f"index {n} outside [0, {p}^{m})")
-    ndigits = []
-    k = n
-    for _ in range(m):
-        k, r = divmod(k, p)
-        ndigits.append(r)
+    ndigits = poly_from_int(n, p).coeffs  # least significant first; missing ones are 0
     coords = []
     for mat in matrices:
-        num = 0
-        for row in mat.rows:
-            u = sum(rc * nc for rc, nc in zip(row, ndigits)) % p
-            num = num * p + u
-        coords.append(BasePRational(p, num, m))
+        digits = (sum(rc * nc for rc, nc in zip(row, ndigits)) % p for row in mat.rows)
+        coords.append(BasePRational(p, _digits_to_int(digits, p), m))
     return tuple(coords)
 
 
@@ -215,8 +206,6 @@ class SubLatticeSpec:
 
     def anchor_index(self) -> int:
         """The block member with zero low digit part (l = 0)."""
-        from .gfpoly import poly_to_int
-
         B, R = self.cls.modulus, self.cls.residue
         n0 = self.shift_poly.shift(self.d) * B + R
         return poly_to_int(n0)
@@ -251,6 +240,31 @@ def sublattice_enumerate(spec: SubLatticeSpec, cfg: LatticeConfig) -> list:
     return [plattice_point_laurent(n, cfg) for n in sublattice_indices(spec, cfg)]
 
 
+def digit_matrix(numerator: Poly, modulus: Poly, d: int) -> tuple:
+    """m x d Hankel block [j][c] = a_{j+c+1} of {numerator/modulus}, m = deg
+    modulus: column c holds the leading m digits of {X^c*numerator/modulus}."""
+    m = modulus.degree
+    if d == 0:
+        return tuple(() for _ in range(m))
+    a = laurent_coeffs(numerator, modulus, m + d - 1)
+    return tuple(tuple(a[j + c] for c in range(d)) for j in range(m))
+
+
+def digit_images(matrix, shift, p: int) -> list:
+    """The digit vectors shift + matrix * l mod p for every l in GF(p)^d
+    (d = columns of the matrix), in ascending order of l read as a base-p
+    integer with l_0 least significant."""
+    images = [tuple(shift)]
+    for c in range(len(matrix[0])):
+        column = [row[c] for row in matrix]
+        images = [
+            tuple((y + k * a) % p for y, a in zip(image, column))
+            for k in range(p)
+            for image in images
+        ]
+    return images
+
+
 def sublattice_matrices(spec: SubLatticeSpec, cfg: LatticeConfig):
     """Affine digit map of the sub-lattice: (matrices, shifts).
 
@@ -258,38 +272,20 @@ def sublattice_matrices(spec: SubLatticeSpec, cfg: LatticeConfig):
     {B*q_i/pX}; shifts[i] is the m-digit vector of the anchor point.
     """
     _check_sublattice(spec, cfg)
-    m, d = cfg.m, spec.d
     B, R = spec.cls.modulus, spec.cls.residue
-    n0 = spec.shift_poly.shift(d) * B + R
-    matrices = []
-    shifts = []
-    for q in cfg.generators:
-        if d > 0:
-            a = laurent_coeffs(B * q, cfg.modulus, m + d - 1)
-            matrices.append(tuple(tuple(a[j + c] for c in range(d)) for j in range(m)))
-        else:
-            matrices.append(tuple(() for _ in range(m)))
-        shifts.append(laurent_coeffs(n0 * q, cfg.modulus, m))
-    return tuple(matrices), tuple(shifts)
+    n0 = spec.shift_poly.shift(spec.d) * B + R
+    matrices = tuple(digit_matrix(B * q, cfg.modulus, spec.d) for q in cfg.generators)
+    shifts = tuple(laurent_coeffs(n0 * q, cfg.modulus, cfg.m) for q in cfg.generators)
+    return matrices, shifts
 
 
 def sublattice_affine(spec: SubLatticeSpec, cfg: LatticeConfig):
     """(matrices, shifts, points): the affine images over l = 0..p^d-1."""
     matrices, shifts = sublattice_matrices(spec, cfg)
-    p, m, d = cfg.p, cfg.m, spec.d
-    points = []
-    for l in range(p**d):
-        ldigits = []
-        k = l
-        for _ in range(d):
-            k, r = divmod(k, p)
-            ldigits.append(r)
-        coords = []
-        for mat, shift in zip(matrices, shifts):
-            num = 0
-            for j in range(m):
-                y = (shift[j] + sum(mc * lc for mc, lc in zip(mat[j], ldigits))) % p
-                num = num * p + y
-            coords.append(BasePRational(p, num, m))
-        points.append(tuple(coords))
+    p, m = cfg.p, cfg.m
+    columns = [digit_images(mat, shift, p) for mat, shift in zip(matrices, shifts)]
+    points = [
+        tuple(BasePRational(p, _digits_to_int(x, p), m) for x in images)
+        for images in zip(*columns)
+    ]
     return matrices, shifts, points

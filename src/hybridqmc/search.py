@@ -32,7 +32,7 @@ from .gfpoly import (
     poly_to_int,
     valuation,
 )
-from .plattice import LatticeConfig, korobov_qvec
+from .plattice import LatticeConfig, korobov_qvec, plattice_point_laurent
 from .seqgen import HaltonConfig
 from .walsh import _modulus_bound, walsh_weight_total
 
@@ -41,6 +41,15 @@ DEFAULT_SEARCH_BUDGET = 10**6
 
 def search_budget() -> int:
     return int(os.environ.get("HYBRIDQMC_SEARCH_BUDGET", DEFAULT_SEARCH_BUDGET))
+
+
+def _check_budget(space: int, budget: int | None, hint: str = ""):
+    """Raise BudgetExceededError when space candidates exceed the budget
+    (default: search_budget())."""
+    if budget is None:
+        budget = search_budget()
+    if space > budget:
+        raise BudgetExceededError(f"{space} candidate tuples exceed budget {budget}{hint}")
 
 
 def nonzero_polys(p: int, m: int) -> list:
@@ -85,11 +94,9 @@ class SearchResult:
 
     @property
     def existence_ok(self) -> bool:
-        """Sanity gate: the minimum merit is at most the candidate average."""
-        if isinstance(self.average, Fraction):
-            return self.best.merit <= self.average
-        # float averages carry accumulation error; allow one part in 10^12
-        return float(self.best.merit) <= self.average * (1 + 1e-12)
+        """Sanity gate: the minimum merit is at most the candidate average,
+        compared exactly since both are rationals for every prime."""
+        return self.best.merit <= self.average
 
     def as_dict(self, top: int = 10) -> dict:
         return {
@@ -115,7 +122,7 @@ class SearchResult:
 def _certify_candidates(mode, m, halton_cfg, pX, candidates) -> SearchResult:
     p = halton_cfg.p
     scored = []
-    total = Fraction(0) if p == 2 else 0.0
+    total = Fraction(0)
     for qvec in candidates:
         cfg = LatticeConfig(p, pX, qvec)
         cert = discrepancy_certificate(m, halton_cfg, cfg)
@@ -138,21 +145,17 @@ def search_exhaustive(
 ) -> SearchResult:
     """Certify every generator tuple in (nonzero degree < m)^t, sorted by merit."""
     p = halton_cfg.p
-    if budget is None:
-        budget = search_budget()
-    space = (p**m - 1) ** t
-    if space > budget:
-        raise BudgetExceededError(
-            f"{space} candidate tuples exceed budget {budget}; "
-            "consider the Korobov search"
-        )
+    _check_budget((p**m - 1) ** t, budget, "; consider the Korobov search")
     candidates = itertools.product(nonzero_polys(p, m), repeat=t)
     return _certify_candidates("exhaustive", m, halton_cfg, pX, candidates)
 
 
-def search_korobov(m: int, t: int, halton_cfg: HaltonConfig, pX: Poly) -> SearchResult:
+def search_korobov(
+    m: int, t: int, halton_cfg: HaltonConfig, pX: Poly, budget: int | None = None
+) -> SearchResult:
     """Certify the power tuples (g, g^2, ..., g^t) for every nonzero g."""
     p = halton_cfg.p
+    _check_budget(p**m - 1, budget)
     candidates = (korobov_qvec(g, t, pX) for g in nonzero_polys(p, m))
     return _certify_candidates("korobov", m, halton_cfg, pX, candidates)
 
@@ -231,16 +234,12 @@ def average_bound_check(modulus_b: Poly, u: int, pX: Poly, t: int, budget: int |
     over every generator tuple; raises if the average exceeds the cap."""
     p = pX.p
     m = pX.degree
-    if budget is None:
-        budget = search_budget()
-    space = (p**m - 1) ** t
-    if space > budget:
-        raise BudgetExceededError(f"{space} candidate tuples exceed budget {budget}")
+    _check_budget((p**m - 1) ** t, budget)
     deg_b = 0 if modulus_b.degree is NEG_INF else modulus_b.degree
     if not deg_b <= u <= m:
         raise ValueError("need deg(B) <= u <= m")
     d = u - deg_b
-    total = Fraction(0) if p == 2 else 0.0
+    total = Fraction(0)
     count = 0
     for qvec in itertools.product(nonzero_polys(p, m), repeat=t):
         cfg = LatticeConfig(p, pX, qvec)
@@ -253,16 +252,14 @@ def average_bound_check(modulus_b: Poly, u: int, pX: Poly, t: int, budget: int |
     return empirical, theoretical
 
 
-def anchor_pair_set(m: int, pX: Poly) -> PointSetD:
-    """The 2-D set (n/p^m, unit-generator lattice coordinate of n)."""
+def anchor_pair_set(m: int, pX: Poly, q: Poly | None = None) -> PointSetD:
+    """The 2-D set (n/p^m, lattice coordinate of n for generator q), with
+    the unit generator by default."""
     p = pX.p
-    cfg = LatticeConfig(p, pX, (Poly.one(p),))
-    from .plattice import plattice_point_laurent
-
-    pts = []
-    for n in range(p**m):
-        pts.append((BasePRational(p, n, m),) + plattice_point_laurent(n, cfg))
-    return PointSetD(pts)
+    cfg = LatticeConfig(p, pX, (Poly.one(p) if q is None else q,))
+    return PointSetD(
+        [(BasePRational(p, n, m),) + plattice_point_laurent(n, cfg) for n in range(p**m)]
+    )
 
 
 def negative_control_report(m: int, pX: Poly, t: int = 2) -> dict:
@@ -288,24 +285,13 @@ def negative_control_report(m: int, pX: Poly, t: int = 2) -> dict:
             }
         )
     pair = anchor_pair_set(m, pX)
-    worst = Fraction(0)
+    best_pair = anchor_pair_set(m, pX, korobov.best.candidate[0])
+    worst = best_worst = Fraction(0)
     worst_nn = 0
     for nn in range(1, pair.n + 1):
         val = nn * star_discrepancy_exact(pair.prefix(nn))
         if val > worst:
             worst, worst_nn = val, nn
-    best_g = korobov.best.candidate[0]
-    best_cfg = LatticeConfig(p, pX, (best_g,))
-    from .plattice import plattice_point_laurent
-
-    best_pair = PointSetD(
-        [
-            (BasePRational(p, n, m),) + plattice_point_laurent(n, best_cfg)
-            for n in range(p**m)
-        ]
-    )
-    best_worst = Fraction(0)
-    for nn in range(1, best_pair.n + 1):
         best_worst = max(best_worst, nn * star_discrepancy_exact(best_pair.prefix(nn)))
     n_points = p**m
     return {

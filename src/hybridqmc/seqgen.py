@@ -27,6 +27,7 @@ from .gfpoly import (
     poly_egcd,
     poly_from_int,
     poly_gcd,
+    poly_to_int,
 )
 from .plattice import LatticeConfig, plattice_point_laurent
 
@@ -144,18 +145,11 @@ def radical_inverse_poly(n: int, base: Poly, sigma: SigmaBijection | None = None
     values = []
     while not rem.is_zero:
         rem, digit = divmod(rem, base)
-        values.append(sigma.table[_digit_encoding(digit, p)])
+        values.append(sigma.table[poly_to_int(digit)])
     num = 0
     for v in values:
         num = num * p**e + v
     return BasePRational(p, num, e * len(values))
-
-
-def _digit_encoding(digit: Poly, p: int) -> int:
-    n = 0
-    for c in reversed(digit.coeffs):
-        n = n * p + c
-    return n
 
 
 def halton_point(n: int, cfg: HaltonConfig) -> tuple:
@@ -238,8 +232,6 @@ def _crt_pair(b1: Poly, r1: Poly, b2: Poly, r2: Poly):
 
 
 def _class_sort_key(c: ResidueClass):
-    from .gfpoly import poly_to_int
-
     d = c.modulus.degree
     return (0 if d is NEG_INF else d, poly_to_int(c.modulus), poly_to_int(c.residue))
 

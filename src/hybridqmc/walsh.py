@@ -6,6 +6,9 @@ integer arithmetic; complex values only materialize for display.  The
 weight attached to a frequency k with leading base-p digit K at level g
 is 1 / (p^(g+1) * sin(pi*K/p)^2), which is exactly 2^-(g+1) for p = 2
 and makes the closed-form total weight identity exact for every prime.
+The Walsh bound sums these weights over the dual of a sub-lattice from
+the sub-lattice's points, where the weighted Walsh series is rational,
+so bounds are exact rationals for every prime.
 """
 
 from __future__ import annotations
@@ -17,10 +20,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gfpoly import NEG_INF, BasePRational, Poly, poly_from_int, valuation
+from .gfpoly import (
+    NEG_INF,
+    BasePRational,
+    Poly,
+    poly_from_int,
+    poly_is_irreducible,
+    valuation,
+)
 from .plattice import (
     LatticeConfig,
     SubLatticeSpec,
+    _check_sublattice,
+    digit_images,
+    digit_matrix,
     sublattice_enumerate,
     sublattice_matrices,
 )
@@ -84,18 +97,12 @@ def walsh_weight_total(p: int, m: int, t: int, mode: str = "closed"):
         return (1 + Fraction(m * (p * p - 1), 3 * p)) ** t
     if mode != "direct":
         raise ValueError(f"unknown mode {mode!r}")
-    if t == 0:
-        return Fraction(1) if p == 2 else 1.0
     per_k = [walsh_weight(k, p) for k in range(p**m)]
-    if p == 2:
-        total = Fraction(0)
-        for kvec in itertools.product(range(2**m), repeat=t):
-            total += walsh_weight_vec(kvec, 2)
-        return total
-    return math.fsum(
+    terms = (
         math.prod(per_k[k] for k in kvec)
         for kvec in itertools.product(range(p**m), repeat=t)
     )
+    return sum(terms, Fraction(0)) if p == 2 else math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -163,30 +170,19 @@ def character_sum(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> CharacterAc
     )
 
 
-def _k_digit_vectors(kvec, p: int, m: int):
-    out = []
-    for k in kvec:
-        digits = []
-        for _ in range(m):
-            k, r = divmod(k, p)
-            digits.append(r)
-        out.append(digits)
-    return out
-
-
 def dual_test_matrix(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> bool:
     """True when the transposed affine digit maps annihilate the frequency:
     sum_i C_i^T k_i = 0 in GF(p)^d (vacuous for d = 0)."""
-    kvec = tuple(kvec)
-    p, m, d = cfg.p, cfg.m, spec.d
+    p, d = cfg.p, spec.d
     if d == 0:
         return True
     matrices, _ = sublattice_matrices(spec, cfg)
-    kdigits = _k_digit_vectors(kvec, p, m)
+    # base-p digits of each k_i, least significant first; missing ones are 0
+    kdigits = [poly_from_int(k, p).coeffs for k in kvec]
     for c in range(d):
         acc = 0
         for mat, kd in zip(matrices, kdigits):
-            acc += sum(mat[j][c] * kd[j] for j in range(m))
+            acc += sum(row[c] * kj for row, kj in zip(mat, kd))
         if acc % p:
             return False
     return True
@@ -203,8 +199,8 @@ def _combined_numerator(cfg: LatticeConfig, kvec) -> Poly:
 @functools.lru_cache(maxsize=512)
 def _combined_residues(cfg: LatticeConfig) -> tuple:
     """(kvec, (sum_i k_i*q_i) mod pX, weight) for every nonzero frequency
-    tuple; shared across the per-shape bound computations of one
-    configuration."""
+    tuple: the frequency side of the dual weight sum, kept as a desk-scale
+    reference for _dual_weight_sum."""
     out = []
     for kvec in itertools.product(range(cfg.p**cfg.m), repeat=cfg.t):
         if any(kvec):
@@ -224,8 +220,6 @@ def dual_test_valuation(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> bool:
 
 def count_low_valuation(pX: Poly, u: int) -> int:
     """Exhaustive count of nonzero a of degree < m with valuation(a/pX) < -u."""
-    from .gfpoly import poly_is_irreducible
-
     m = pX.degree
     if m is NEG_INF or m < 1 or not pX.is_monic or not poly_is_irreducible(pX):
         raise ValueError("modulus must be monic irreducible")
@@ -238,41 +232,44 @@ def count_low_valuation(pX: Poly, u: int) -> int:
     return count
 
 
-def _dual_weight_sum(cfg: LatticeConfig, modulus: Poly, d: int):
-    """Sum of product weights over nonzero frequency tuples in the dual."""
+def _scaled_phi(digits, p: int) -> int:
+    """3p * phi(x), phi(x) = sum_{k < p^m} w(k) wal_k(x) for the m-digit x:
+    3p + (z+1)(p^2-1) - 6a(p-a) after z zero digits and a first nonzero
+    digit a, or 3p + m(p^2-1) when every digit is zero."""
+    for z, a in enumerate(digits):
+        if a:
+            return 3 * p + (z + 1) * (p * p - 1) - 6 * a * (p - a)
+    return 3 * p + len(digits) * (p * p - 1)
+
+
+def _dual_weight_sum(cfg: LatticeConfig, modulus: Poly, d: int) -> Fraction:
+    """Sum of product weights over nonzero frequency tuples in the dual of
+    the sub-lattice l*B (l of degree < d), from its p^d points:
+    p^-d * sum_l prod_i phi(x_i(l)) - 1, exact for every prime."""
     p = cfg.p
-    exact = p == 2
-    total = Fraction(0) if exact else 0.0
-    terms = 0
-    trivial_b = modulus.degree == 0
-    for _kvec, combined, weight in _combined_residues(cfg):
-        f = combined if trivial_b else (combined * modulus) % cfg.modulus
-        if valuation(f, cfg.modulus) < -d:
-            total += weight
-            terms += 1
-    if not exact and terms:
-        # one-sided guard: round the float accumulation upward
-        total *= 1.0 + terms * 2.0**-50
-    return total
+    zero = (0,) * cfg.m
+    columns = [
+        digit_images(digit_matrix(modulus * q, cfg.modulus, d), zero, p)
+        for q in cfg.generators
+    ]
+    total = sum(
+        math.prod(_scaled_phi(x, p) for x in point) for point in zip(*columns)
+    )
+    return Fraction(total, p**d * (3 * p) ** cfg.t) - 1
 
 
 @functools.lru_cache(maxsize=65536)
-def _modulus_bound(cfg: LatticeConfig, modulus: Poly, d: int):
-    p, m, t = cfg.p, cfg.m, cfg.t
-    cap = p**d
-    dual = _dual_weight_sum(cfg, modulus, d)
-    if p == 2:
-        bound = t * Fraction(1, p ** (m - d)) + cap * dual
-    else:
-        bound = t * float(p) ** (d - m) + cap * dual
-    return min(bound, cap)
+def _modulus_bound(cfg: LatticeConfig, modulus: Poly, d: int) -> Fraction:
+    """t*p^(d-m) plus p^d times the dual weight sum, capped at p^d: an
+    exact rational for every prime."""
+    cap = cfg.p**d
+    bound = Fraction(cfg.t, cfg.p ** (cfg.m - d)) + cap * _dual_weight_sum(cfg, modulus, d)
+    return min(bound, Fraction(cap))
 
 
 def walsh_discrepancy_bound(spec: SubLatticeSpec, cfg: LatticeConfig):
     """Rigorous upper bound on L * D*_L of the sub-lattice point set
     (L = p^d): t*p^(d-m) plus p^d times the dual weight sum, capped at the
     trivial bound p^d.  Independent of the residue and block position."""
-    from .plattice import _check_sublattice
-
     _check_sublattice(spec, cfg)
     return _modulus_bound(cfg, spec.cls.modulus, spec.d)

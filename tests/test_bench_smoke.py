@@ -1,0 +1,35 @@
+"""One cold pass of every benchmark workload, and one traced pass, so that
+the harness breaks here when a name it reads is renamed or changes shape."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench(*args) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", *args, "--seconds", "0"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", ["search-t1", "search-t2", "oracle", "verify"])
+def test_bench_workload_pass(workload):
+    last = _bench("--workload", workload)
+    assert last["correct"] is True and last["failed"] == 0
+
+
+def test_bench_traced_pass():
+    last = _bench("--workload", "search-t2", "--trace", "1")
+    assert last["correct"] is True and last["failed"] == 0
+    assert last["metrics"]["walsh.residue_tables"]["value"] == 0

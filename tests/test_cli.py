@@ -135,3 +135,46 @@ def test_byte_identical_across_runs_and_workers(tmp_path, capsys):
         assert code == 0
         outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _disc_exact_with_header(tmp_path, capsys, header):
+    path = tmp_path / "pts.txt"
+    path.write_text(f"# {header}\n# dim=1\n# count=2\n0/2\n1/2\n")
+    return run(capsys, "disc", "exact", "--input", str(path))
+
+
+def test_header_p_one_is_a_parse_error(tmp_path, capsys):
+    code, out, err = _disc_exact_with_header(tmp_path, capsys, "p=1")
+    assert code == 1 and "parse error" in err and not out
+
+
+def test_header_p_zero_is_a_parse_error(tmp_path, capsys):
+    code, out, err = _disc_exact_with_header(tmp_path, capsys, "p=0")
+    assert code == 1 and "parse error" in err and not out
+
+
+def test_header_p_composite_is_a_parse_error(tmp_path, capsys):
+    code, out, err = _disc_exact_with_header(tmp_path, capsys, "p=4")
+    assert code == 1 and "parse error" in err and not out
+
+
+def test_search_korobov_budget(capsys):
+    code, out, err = run(
+        capsys, "search", "korobov", "--p", "2", "--m", "6", "--budget", "10"
+    )
+    assert code == 3 and "budget" in err and not out
+
+
+def test_output_leaves_foreign_tmp_file_alone(tmp_path, capsys):
+    target = tmp_path / "pts.txt"
+    other = tmp_path / "pts.txt.tmp"
+    other.write_text("another run's file\n")
+    code, _, _ = run(
+        capsys,
+        "gen", "plattice", "--p", "2", "--px", "X^2+X+1", "--q", "X",
+        "--output", str(target),
+    )
+    assert code == 0
+    assert target.read_text().splitlines()[-1] == "1/4"
+    assert other.read_text() == "another run's file\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["pts.txt", "pts.txt.tmp"]

@@ -16,6 +16,7 @@ from hybridqmc.discrepancy import (
     star_discrepancy_1d,
     star_discrepancy_exact,
     superposition_bound,
+    write_atomic,
 )
 from hybridqmc.gfpoly import BasePRational, Poly, poly_parse
 from hybridqmc.plattice import LatticeConfig
@@ -230,3 +231,18 @@ def test_format_point_line_tokens():
     assert format_point_line(pt) == "1/4 1/2 3/4"
     assert format_point_line((F(1, 3),), "decimal", 6) == "0.333333"
     assert format_point_line((F(2, 3),), "decimal", 6) == "0.666667"
+
+
+def test_write_atomic_failure_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(target, "café\n")
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_atomic(tmp_path / "sub", "x\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["out.txt", "sub"]
+    assert target.read_text() == "old\n"
+    write_atomic(target, "new\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["out.txt", "sub"]
+    assert target.read_text() == "new\n"

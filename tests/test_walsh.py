@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -10,11 +11,15 @@ from hybridqmc.gfpoly import (
     ResidueClass,
     irreducible_poly,
     poly_from_int,
+    poly_gcd,
     poly_parse,
+    valuation,
 )
 from hybridqmc.plattice import LatticeConfig, SubLatticeSpec, sublattice_enumerate
 from hybridqmc.walsh import (
     CharacterAccumulator,
+    _combined_residues,
+    _dual_weight_sum,
     character_sum,
     count_low_valuation,
     dual_test_matrix,
@@ -227,3 +232,46 @@ def test_walsh_bound_residue_independent():
         spec = SubLatticeSpec(3, 0, ResidueClass(Poly.x(2), poly_from_int(r, 2)))
         vals.add(walsh_discrepancy_bound(spec, cfg))
     assert len(vals) == 1
+
+
+def test_dual_weight_sum_matches_frequency_enumeration():
+    # reference: the weights of every nonzero frequency tuple whose combined
+    # residue times B sinks below X^-d, enumerated over all p^(mt) tuples
+    rng = random.Random(1808)
+    checks = 0
+    for p in (2, 3, 5):
+        for m in range(1, 5):
+            pX = irreducible_poly(p, m)
+            moduli = [
+                poly_from_int(p**k + low, p) for k in range(m + 1) for low in range(p**k)
+            ]
+            for t in range(1, 4):
+                if p ** (m * t) > 5000:
+                    continue
+                cfg = LatticeConfig(
+                    p, pX, tuple(poly_from_int(rng.randrange(1, p**m), p) for _ in range(t))
+                )
+                by_residue = {}
+                for _kvec, combined, weight in _combined_residues(cfg):
+                    by_residue.setdefault(combined, []).append(weight)
+                for B in moduli:
+                    if poly_gcd(B, pX).degree != 0:
+                        continue
+                    # every residue below pX has valuation < 0, so at d = 0 (the
+                    # only depth when deg B = m) every frequency tuple counts
+                    vals = {}
+                    if B.degree < m:
+                        vals = {c: valuation((c * B) % pX, pX) for c in by_residue}
+                    for d in range(m - B.degree + 1):
+                        ref = [
+                            w for c, ws in by_residue.items() if d == 0 or vals[c] < -d for w in ws
+                        ]
+                        got = _dual_weight_sum(cfg, B, d)
+                        assert isinstance(got, Fraction)
+                        if p == 2:
+                            assert got == sum(ref, Fraction(0))
+                        else:
+                            expected = math.fsum(ref)
+                            assert abs(float(got) - expected) <= 1e-9 * expected
+                        checks += 1
+    assert checks == 1896
