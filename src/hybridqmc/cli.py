@@ -34,6 +34,9 @@ EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 
 
+_WORKERS_HELP = "accepted for compatibility; has no effect"
+
+
 class _UsageError(Exception):
     pass
 
@@ -60,7 +63,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--format", choices=["rational", "decimal"], default="rational")
     gen.add_argument("--precision", type=int, default=12)
     gen.add_argument("--output", help="output file (default: stdout)")
-    gen.add_argument("--workers", type=int, default=1)
+    gen.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     disc = sub.add_parser("disc", help="discrepancy evaluation and certification")
     disc.add_argument("mode", choices=["exact", "prefix", "certificate"])
@@ -72,7 +75,7 @@ def _build_parser() -> _Parser:
     disc.add_argument("--g")
     disc.add_argument("--t", type=int)
     disc.add_argument("--budget", type=int)
-    disc.add_argument("--workers", type=int, default=1)
+    disc.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     search = sub.add_parser("search", help="generator search with certificates")
     search.add_argument("mode", choices=["exhaustive", "korobov"])
@@ -84,7 +87,7 @@ def _build_parser() -> _Parser:
     search.add_argument("--budget", type=int)
     search.add_argument("--top", type=int, default=10)
     search.add_argument("--output", help="report file (default: stdout)")
-    search.add_argument("--workers", type=int, default=1)
+    search.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")

@@ -1,12 +1,14 @@
 """Exact star discrepancy and the rigorous hybrid-set bound certificate.
 
-The exact oracle walks the critical-corner grid: for every corner whose
-coordinates come from the per-dimension candidate sets (distinct point
-values plus 1) it evaluates both one-sided deviations, counting strictly
-for the open box and inclusively for the closed one.  All arithmetic is
-integer-exact after rescaling each dimension to a common denominator;
-a numpy cumulative-histogram path accelerates large grids without
-leaving integers.
+The exact oracle evaluates both one-sided deviations at every corner of the
+critical-corner grid, whose coordinates come from the per-dimension
+candidate sets (distinct point values plus 1), counting strictly for the
+open box and inclusively for the closed one.  Each dimension is rescaled
+to a common denominator, and one sweep along the axis with the most
+candidates keeps running dominance counts over the other axes (Dobkin,
+Eppstein & Mitchell 1996): each corner is visited once, memory is one
+slice of the grid, and the arithmetic stays in integers (int64 while it
+cannot overflow, Python ints beyond).
 
 The certificate assembles an upper bound on N~ * D* of every hybrid
 prefix from per-level worst cases: digit blocks of size p^u, residue
@@ -18,23 +20,22 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-from bisect import bisect_left, bisect_right
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+
+import numpy as _np
 
 from .gfpoly import BasePRational, ParseError, Poly, as_prime, poly_gcd
 from .plattice import LatticeConfig
 from .seqgen import HaltonConfig
 from .walsh import _modulus_bound
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 DEFAULT_ORACLE_BUDGET = 10**8
-_NUMPY_THRESHOLD = 1 << 14
+# a sweep candidate with more points than this adds them as one cumulative
+# histogram, a few passes over the slice, instead of one orthant add each
+_ORTHANT_ADDS = 16
 
 
 class BudgetExceededError(RuntimeError):
@@ -148,104 +149,55 @@ def star_discrepancy_exact(
             f"corner grid of {cells} cells exceeds budget {budget}; "
             "use the 1-D sorted formula or the certificate bound mode"
         )
-    n = points.n
-    big_q = 1
-    for d in denoms:
-        big_q *= d
-    use_numpy = (
-        _np is not None
-        and cells >= _NUMPY_THRESHOLD
-        and n * big_q < 2**62
-    )
-    if use_numpy:
-        m1, m2 = _grid_extremes_numpy(n, denoms, numerators, cands)
-    else:
-        m1, m2 = _grid_extremes_python(n, denoms, numerators, cands)
-    return Fraction(max(m1, m2, 0), n * big_q)
+    m1, m2 = _grid_extremes(points.n, denoms, numerators, cands)
+    return Fraction(max(m1, m2, 0), points.n * prod(denoms))
 
 
-def _grid_extremes_python(n, denoms, numerators, cands):
-    # volume of a corner is prod(c_i)/prod(d_i); scores are kept as the
-    # integer numerators over n * prod(d_i)
-    big_q = 1
-    for d in denoms:
-        big_q *= d
-    rows = list(zip(*numerators))
-    m1 = m2 = None
-    for corner in itertools.product(*cands):
-        closed = opened = 0
-        for row in rows:
-            inside_closed = True
-            inside_open = True
-            for x, c in zip(row, corner):
-                if x > c:
-                    inside_closed = False
-                    inside_open = False
-                    break
-                if x == c:
-                    inside_open = False
-            if inside_closed:
-                closed += 1
-                if inside_open:
-                    opened += 1
-        vol = 1
-        for c in corner:
-            vol *= c
-        v1 = closed * big_q - n * vol
-        v2 = n * vol - opened * big_q
-        if m1 is None or v1 > m1:
-            m1 = v1
-        if m2 is None or v2 > m2:
-            m2 = v2
-    return m1, m2
+def _grid_extremes(n, denoms, numerators, cands):
+    """Largest closed-box excess and open-box deficit over the corner grid,
+    as integers over n * prod(denoms).
 
-
-def _grid_extremes_numpy(n, denoms, numerators, cands):
-    dim = len(denoms)
-    big_q = 1
-    for d in denoms:
-        big_q *= d
-    uniq = [sorted(set(col)) for col in numerators]
-    hist = _np.zeros([len(u) for u in uniq], dtype=_np.int32)
-    idx = tuple(
-        _np.searchsorted(_np.asarray(u, dtype=_np.int64), _np.asarray(col, dtype=_np.int64))
-        for u, col in zip(uniq, numerators)
-    )
-    _np.add.at(hist, idx, 1)
-    for axis in range(dim):
-        hist = hist.cumsum(axis=axis, dtype=_np.int32)
-    padded = _np.zeros([s + 1 for s in hist.shape], dtype=_np.int64)
-    padded[(slice(1, None),) * dim] = hist
-    closed_idx = [
-        _np.asarray([bisect_right(u, c) for c in cs], dtype=_np.intp)
-        for u, cs in zip(uniq, cands)
-    ]
-    open_idx = [
-        _np.asarray([bisect_left(u, c) for c in cs], dtype=_np.intp)
-        for u, cs in zip(uniq, cands)
-    ]
-    cand_arrays = [_np.asarray(cs, dtype=_np.int64) for cs in cands]
-    if dim == 1:
-        lead_vol = _np.int64(1)
-    else:
-        lead_vol = cand_arrays[0]
-        for arr in cand_arrays[1:-1]:
-            lead_vol = lead_vol[..., None] * arr
-    m1 = m2 = None
-    last = dim - 1
-    for j, c_last in enumerate(cand_arrays[-1].tolist()):
-        sel_closed = padded[_np.ix_(*closed_idx[:last], closed_idx[last][j : j + 1])]
-        sel_open = padded[_np.ix_(*open_idx[:last], open_idx[last][j : j + 1])]
-        sel_closed = sel_closed[..., 0]
-        sel_open = sel_open[..., 0]
-        vol = lead_vol * c_last
-        v1 = int((sel_closed * big_q - n * vol).max())
-        v2 = int((n * vol - sel_open * big_q).max())
-        if m1 is None or v1 > m1:
-            m1 = v1
-        if m2 is None or v2 > m2:
-            m2 = v2
-    return m1, m2
+    Sweeps the axis with the most candidates and keeps the closed-box
+    counts of every tail corner, scaled by prod(denoms), in one array with a
+    zero slab in front of each tail axis.  A point adds to the orthant of
+    tail corners at or above it.  The open-box counts are the same array
+    shifted back one candidate on every axis, read before the points of the
+    current sweep candidate are added: every point value is a candidate, so
+    x < c_j exactly when x <= c_(j-1).
+    """
+    big_q = prod(denoms)
+    dtype = _np.int64 if n * big_q < 2**62 else object
+    axis = max(range(len(cands)), key=lambda i: len(cands[i]))
+    tail = [i for i in range(len(cands)) if i != axis]
+    index = [{c: j for j, c in enumerate(cand)} for cand in cands]
+    buckets = [[] for _ in cands[axis]]
+    for row in zip(*numerators):
+        corner = tuple(index[i][row[i]] + 1 for i in tail)
+        buckets[index[axis][row[axis]]].append(corner)
+    nvol = _np.array(n, dtype=dtype)
+    for i in tail:
+        nvol = _np.multiply.outer(nvol, _np.array(cands[i], dtype=dtype))
+    counts = _np.zeros([len(cands[i]) + 1 for i in tail], dtype=dtype)
+    strides = [prod(counts.shape[k + 1 :]) for k in range(len(tail))]
+    closed = (..., *[slice(1, None)] * len(tail))
+    opened = (..., *[slice(None, -1)] * len(tail))
+    excess = []
+    deficit = []
+    for c0, rows in zip(cands[axis], buckets):
+        vol = nvol * c0
+        deficit.append(_np.max(vol - counts[opened]))
+        if len(rows) <= _ORTHANT_ADDS:
+            for row in rows:
+                counts[(..., *(slice(j, None) for j in row))] += big_q
+        else:
+            flat = [sum(j * s for j, s in zip(row, strides)) for row in rows]
+            hist = _np.bincount(flat, minlength=counts.size).reshape(counts.shape)
+            hist = hist.astype(dtype) * big_q
+            for ax in range(len(tail)):
+                hist = hist.cumsum(axis=ax)
+            counts += hist
+        excess.append(_np.max(counts[closed] - vol))
+    return int(max(excess)), int(max(deficit))
 
 
 def superposition_bound(parts) -> Fraction:
@@ -456,7 +408,12 @@ def load_point_set(path):
                     key, _, val = body.partition("=")
                     meta[key.strip()] = _parse_header_value(key.strip(), val.strip(), line)
                 continue
-            rows.append(tuple(_parse_coordinate(tok, meta) for tok in line.split()))
+            rows.append(
+                tuple(
+                    _parse_coordinate(tok.group(), tok.start(), meta)
+                    for tok in re.finditer(r"\S+", line)
+                )
+            )
     if not rows:
         raise ValueError(f"no points in {path}")
     return PointSetD(rows), meta
@@ -469,18 +426,28 @@ def _parse_header_value(key: str, text: str, line: str) -> int:
         raise ParseError(f"bad header {key}={text}: {exc}", line.index("=") + 1) from None
 
 
-def _parse_coordinate(token: str, meta: dict):
-    if "/" in token:
-        num_s, _, den_s = token.partition("/")
-        num, den = int(num_s), int(den_s)
-        p = meta.get("p")
-        if p:
-            exponent = 0
-            d = den
-            while d % p == 0:
-                d //= p
-                exponent += 1
-            if d == 1:
-                return BasePRational(p, num, exponent)
-        return Fraction(num, den)
-    return Fraction(token)
+def _parse_coordinate(token: str, position: int, meta: dict):
+    """A coordinate token: numerator/denominator or a decimal, in [0, 1).
+    Under a '# p=' header a power-of-p denominator gives a BasePRational."""
+    num_s, slash, den_s = token.partition("/")
+    try:
+        if not slash:
+            value = Fraction(token)
+        else:
+            num, den = int(num_s), int(den_s)
+            if den <= 0:
+                raise ValueError("denominator must be positive")
+            value = Fraction(num, den)
+    except ValueError as exc:
+        raise ParseError(f"bad coordinate {token!r}: {exc}", position) from None
+    if not 0 <= value < 1:
+        raise ParseError(f"coordinate {token} outside [0, 1)", position)
+    p = meta.get("p")
+    if slash and p:
+        exponent = 0
+        while den % p == 0:
+            den //= p
+            exponent += 1
+        if den == 1:
+            return BasePRational(p, num, exponent)
+    return value

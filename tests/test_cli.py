@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hybridqmc.cli import main
 
 
@@ -178,3 +180,19 @@ def test_output_leaves_foreign_tmp_file_alone(tmp_path, capsys):
     assert target.read_text().splitlines()[-1] == "1/4"
     assert other.read_text() == "another run's file\n"
     assert sorted(f.name for f in tmp_path.iterdir()) == ["pts.txt", "pts.txt.tmp"]
+
+
+@pytest.mark.parametrize("header", ["# p=2\n", ""], ids=["p=2", "no-header"])
+@pytest.mark.parametrize("token", ["1/0", "abc", "2/2", "3/2", "-1/2", "1/-2", "1"])
+def test_bad_coordinate_is_a_parse_error(tmp_path, capsys, header, token):
+    path = tmp_path / "pts.txt"
+    path.write_text(f"{header}0/2 {token}\n")
+    code, out, err = run(capsys, "disc", "exact", "--input", str(path))
+    assert code == 1 and "parse error" in err and "position 4" in err and not out
+
+
+@pytest.mark.parametrize("command", ["gen", "disc", "search"])
+def test_workers_help_says_it_has_no_effect(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "accepted for compatibility; has no effect" in capsys.readouterr().out

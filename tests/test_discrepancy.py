@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hybridqmc.discrepancy as disc
 from hybridqmc.discrepancy import (
@@ -82,7 +85,50 @@ def test_formula_equals_grid_random():
         assert star_discrepancy_1d(pts) == star_discrepancy_exact(pts)
 
 
-def test_grid_paths_agree():
+def _grid_extremes_reference(n, denoms, numerators, cands):
+    """Brute-force scan of every corner and every point: the reference the
+    sweep kernel is checked against."""
+    big_q = 1
+    for d in denoms:
+        big_q *= d
+    rows = list(zip(*numerators))
+    m1 = m2 = None
+    for corner in itertools.product(*cands):
+        closed = opened = 0
+        for row in rows:
+            inside_closed = True
+            inside_open = True
+            for x, c in zip(row, corner):
+                if x > c:
+                    inside_closed = False
+                    inside_open = False
+                    break
+                if x == c:
+                    inside_open = False
+            if inside_closed:
+                closed += 1
+                if inside_open:
+                    opened += 1
+        vol = 1
+        for c in corner:
+            vol *= c
+        v1 = closed * big_q - n * vol
+        v2 = n * vol - opened * big_q
+        if m1 is None or v1 > m1:
+            m1 = v1
+        if m2 is None or v2 > m2:
+            m2 = v2
+    return m1, m2
+
+
+def _assert_kernel_matches_reference(pts, extra=None):
+    dn, nu, ca = disc._rescaled_columns(pts, extra)
+    assert disc._grid_extremes(pts.n, dn, nu, ca) == _grid_extremes_reference(
+        pts.n, dn, nu, ca
+    )
+
+
+def test_grid_kernel_matches_reference():
     rng = random.Random(4711)
     for dim in (1, 2, 3):
         for _ in range(20):
@@ -93,10 +139,58 @@ def test_grid_paths_agree():
                     for _ in range(n)
                 ]
             )
-            dn, nu, ca = disc._rescaled_columns(pts)
-            assert disc._grid_extremes_python(pts.n, dn, nu, ca) == disc._grid_extremes_numpy(
-                pts.n, dn, nu, ca
-            )
+            _assert_kernel_matches_reference(pts)
+    for _ in range(5):
+        rows = [tuple(F(rng.randrange(8), 8) for _ in range(4)) for _ in range(10)]
+        _assert_kernel_matches_reference(PointSetD(rows))
+        # duplicates, including enough at one sweep candidate to be added
+        # as a histogram rather than point by point
+        _assert_kernel_matches_reference(PointSetD(rows[:1] * 17 + rows))
+        extra = [[F(rng.randrange(1, 33), 32) for _ in range(3)] for _ in range(4)]
+        _assert_kernel_matches_reference(PointSetD(rows), extra)
+    grid = [tuple(F(c, 5) for c in t) for t in itertools.product(range(5), repeat=3)]
+    _assert_kernel_matches_reference(PointSetD(grid))
+    _assert_kernel_matches_reference(PointSetD([(F(1, 2),)] * 20 + [(F(0),)]))
+    # n * prod(denominators) >= 2^62 takes exact Python-int arithmetic
+    den = 3**45
+    huge = PointSetD(
+        [(F(rng.randrange(den), den), F(rng.randrange(den), den)) for _ in range(9)]
+    )
+    _assert_kernel_matches_reference(huge)
+    # one axis with a single value, the other with >= 500 candidates
+    flat = PointSetD([(F(1, 3), F(k, 512)) for k in range(512)])
+    _assert_kernel_matches_reference(flat)
+
+
+_coordinates = st.fractions(min_value=0, max_value=1, max_denominator=16).filter(
+    lambda c: c < 1
+)
+
+
+@st.composite
+def _point_sets(draw):
+    dim = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(st.tuples(*[_coordinates] * dim), min_size=1, max_size=8)
+    )
+    return PointSetD(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_sets())
+def test_oracle_matches_reference_property(pts):
+    _assert_kernel_matches_reference(pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_sets(), st.data())
+def test_oracle_ignores_extra_candidates_property(pts, data):
+    extra = [
+        data.draw(st.lists(st.fractions(0, 1, max_denominator=32), max_size=4))
+        for _ in range(pts.dim)
+    ]
+    base = star_discrepancy_exact(pts)
+    assert star_discrepancy_exact(pts, extra_candidates=extra) == base
 
 
 def test_monotone_refinement():
