@@ -33,9 +33,6 @@ from .seqgen import HaltonConfig
 from .walsh import _modulus_bound
 
 DEFAULT_ORACLE_BUDGET = 10**8
-# a sweep candidate with more points than this adds them as one cumulative
-# histogram, a few passes over the slice, instead of one orthant add each
-_ORTHANT_ADDS = 16
 
 
 class BudgetExceededError(RuntimeError):
@@ -159,11 +156,13 @@ def _grid_extremes(n, denoms, numerators, cands):
 
     Sweeps the axis with the most candidates and keeps the closed-box
     counts of every tail corner, scaled by prod(denoms), in one array with a
-    zero slab in front of each tail axis.  A point adds to the orthant of
-    tail corners at or above it.  The open-box counts are the same array
-    shifted back one candidate on every axis, read before the points of the
-    current sweep candidate are added: every point value is a candidate, so
-    x < c_j exactly when x <= c_(j-1).
+    zero slab in front of each tail axis.  The points of each sweep
+    candidate are added as their histogram, summed along every tail axis
+    over the box of corners at or above their lowest index on each axis, so
+    a step costs a few passes over at most one slice.  The open-box counts
+    are the same array shifted back one candidate on every axis, read before
+    the points of the current sweep candidate are added: every point value
+    is a candidate, so x < c_j exactly when x <= c_(j-1).
     """
     big_q = prod(denoms)
     dtype = _np.int64 if n * big_q < 2**62 else object
@@ -178,7 +177,6 @@ def _grid_extremes(n, denoms, numerators, cands):
     for i in tail:
         nvol = _np.multiply.outer(nvol, _np.array(cands[i], dtype=dtype))
     counts = _np.zeros([len(cands[i]) + 1 for i in tail], dtype=dtype)
-    strides = [prod(counts.shape[k + 1 :]) for k in range(len(tail))]
     closed = (..., *[slice(1, None)] * len(tail))
     opened = (..., *[slice(None, -1)] * len(tail))
     excess = []
@@ -186,16 +184,18 @@ def _grid_extremes(n, denoms, numerators, cands):
     for c0, rows in zip(cands[axis], buckets):
         vol = nvol * c0
         deficit.append(_np.max(vol - counts[opened]))
-        if len(rows) <= _ORTHANT_ADDS:
-            for row in rows:
-                counts[(..., *(slice(j, None) for j in row))] += big_q
-        else:
-            flat = [sum(j * s for j, s in zip(row, strides)) for row in rows]
-            hist = _np.bincount(flat, minlength=counts.size).reshape(counts.shape)
-            hist = hist.astype(dtype) * big_q
+        if rows:
+            low = [min(col) for col in zip(*rows)]
+            box = counts[(..., *(slice(j, None) for j in low))]
+            strides = [prod(box.shape[k + 1 :]) for k in range(len(tail))]
+            flat = [
+                sum((j - lo) * s for j, lo, s in zip(row, low, strides)) for row in rows
+            ]
+            hist = _np.bincount(flat, minlength=box.size).reshape(box.shape)
+            hist = hist.astype(dtype, copy=False) * big_q
             for ax in range(len(tail)):
-                hist = hist.cumsum(axis=ax)
-            counts += hist
+                _np.cumsum(hist, axis=ax, out=hist)
+            box += hist
         excess.append(_np.max(counts[closed] - vol))
     return int(max(excess)), int(max(deficit))
 

@@ -282,7 +282,6 @@ def _monic_polys_of_degree(p: int, k: int):
         yield poly_from_int(low + p**k, p)
 
 
-@functools.lru_cache(maxsize=None)
 def poly_is_irreducible(a: Poly) -> bool:
     """Trial division by all monic polynomials of degree <= deg(a)/2."""
     d = a.degree

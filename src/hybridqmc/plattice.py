@@ -32,6 +32,12 @@ from .gfpoly import (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _irreducible_modulus(pX: Poly) -> bool:
+    # every candidate of a search builds a LatticeConfig on the same modulus
+    return poly_is_irreducible(pX)
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     """Modulus pX (monic, irreducible, degree m) and t nonzero generators."""
@@ -48,7 +54,7 @@ class LatticeConfig:
             raise ValueError("modulus prime mismatch")
         if pX.degree is NEG_INF or pX.degree < 1 or not pX.is_monic:
             raise ValueError("modulus must be monic and nonconstant")
-        if not poly_is_irreducible(pX):
+        if not _irreducible_modulus(pX):
             raise ValueError("modulus must be irreducible")
         if not self.generators:
             raise ValueError("at least one generator required")

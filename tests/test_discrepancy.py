@@ -143,8 +143,7 @@ def test_grid_kernel_matches_reference():
     for _ in range(5):
         rows = [tuple(F(rng.randrange(8), 8) for _ in range(4)) for _ in range(10)]
         _assert_kernel_matches_reference(PointSetD(rows))
-        # duplicates, including enough at one sweep candidate to be added
-        # as a histogram rather than point by point
+        # duplicates, 18 of them at one sweep candidate
         _assert_kernel_matches_reference(PointSetD(rows[:1] * 17 + rows))
         extra = [[F(rng.randrange(1, 33), 32) for _ in range(3)] for _ in range(4)]
         _assert_kernel_matches_reference(PointSetD(rows), extra)
@@ -171,7 +170,7 @@ _coordinates = st.fractions(min_value=0, max_value=1, max_denominator=16).filter
 def _point_sets(draw):
     dim = draw(st.integers(1, 3))
     rows = draw(
-        st.lists(st.tuples(*[_coordinates] * dim), min_size=1, max_size=8)
+        st.lists(st.tuples(*[_coordinates] * dim), min_size=1, max_size=15)
     )
     return PointSetD(rows)
 
@@ -184,29 +183,15 @@ def test_oracle_matches_reference_property(pts):
 
 @settings(max_examples=60, deadline=None)
 @given(_point_sets(), st.data())
-def test_oracle_ignores_extra_candidates_property(pts, data):
+def test_monotone_refinement(pts, data):
+    # a denser candidate grid, extras at 0 and 1 included, never changes the
+    # exact result
     extra = [
         data.draw(st.lists(st.fractions(0, 1, max_denominator=32), max_size=4))
         for _ in range(pts.dim)
     ]
     base = star_discrepancy_exact(pts)
     assert star_discrepancy_exact(pts, extra_candidates=extra) == base
-
-
-def test_monotone_refinement():
-    # a denser candidate grid never changes the exact result
-    rng = random.Random(8)
-    for _ in range(30):
-        n = rng.randrange(1, 16)
-        pts = PointSetD(
-            [(F(rng.randrange(16), 16), F(rng.randrange(16), 16)) for _ in range(n)]
-        )
-        base = star_discrepancy_exact(pts)
-        extra = [
-            [F(rng.randrange(1, 32), 32) for _ in range(4)],
-            [F(rng.randrange(1, 32), 32) for _ in range(4)],
-        ]
-        assert star_discrepancy_exact(pts, extra_candidates=extra) == base
 
 
 def test_exact_dim_and_budget_limits():
