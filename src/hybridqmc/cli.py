@@ -41,6 +41,13 @@ class _UsageError(Exception):
     pass
 
 
+def _precision(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("precision must be >= 1")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -61,7 +68,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--count", type=int, help="number of points")
     gen.add_argument("--n", type=int, help="emit the single point of this index")
     gen.add_argument("--format", choices=["rational", "decimal"], default="rational")
-    gen.add_argument("--precision", type=int, default=12)
+    gen.add_argument("--precision", type=_precision, default=12)
     gen.add_argument("--output", help="output file (default: stdout)")
     gen.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
@@ -132,8 +139,13 @@ def _cmd_gen(args) -> int:
         cfg = _halton_cfg(args)
         if not cfg.bases:
             raise ValueError("halton generation needs at least one base")
-        count = args.count if args.count is not None else 1
-        indices = [args.n] if args.n is not None else range(count)
+        if args.n is not None:
+            indices = [args.n]
+        else:
+            count = args.count if args.count is not None else 1
+            if count < 1:
+                raise ValueError("count must be >= 1")
+            indices = range(count)
         points = [halton_point(n, cfg) for n in indices]
         meta = {"p": p, "dim": cfg.s, "count": len(points)}
     elif args.kind in ("plattice", "korobov"):

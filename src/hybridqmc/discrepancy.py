@@ -285,10 +285,6 @@ class Certificate:
             "perLevel": [lv.as_dict() for lv in self.per_level],
         }
 
-    def recomputed_total(self):
-        tail = sum(lv.value for lv in self.per_level[:-1])
-        return 1 + self.per_level[-1].value + (self.p - 1) * tail
-
 
 def discrepancy_certificate(
     m: int, halton_cfg: HaltonConfig, lattice_cfg: LatticeConfig
@@ -347,12 +343,17 @@ def _decimal_token(value: Fraction, precision: int) -> str:
     rounded = scaled.numerator // scaled.denominator
     if 2 * (scaled - rounded) >= 1:
         rounded += 1
+    # coordinates lie in [0, 1): a value that rounds up to 1 prints as the
+    # largest token below 1, so the file reads back
+    rounded = min(rounded, 10**precision - 1)
     digits = str(rounded).rjust(precision + 1, "0")
     return f"{digits[:-precision]}.{digits[-precision:]}"
 
 
 def format_point_line(point, fmt: str = "rational", precision: int = 12) -> str:
     """One output line: space-separated coordinate tokens."""
+    if fmt == "decimal" and precision < 1:
+        raise ValueError("decimal precision must be >= 1")
     tokens = []
     for c in point:
         if fmt == "rational":

@@ -285,7 +285,7 @@ def _monic_polys_of_degree(p: int, k: int):
 def poly_is_irreducible(a: Poly) -> bool:
     """Trial division by all monic polynomials of degree <= deg(a)/2."""
     d = a.degree
-    if d is NEG_INF or d < 1:
+    if d < 1:
         raise ValueError("irreducibility is defined for nonconstant polynomials")
     for k in range(1, d // 2 + 1):
         for b in _monic_polys_of_degree(a.p, k):
@@ -586,5 +586,4 @@ class ResidueClass:
 
     def measure(self) -> Fraction:
         """Natural density p^(-deg modulus) of the class."""
-        d = self.modulus.degree
-        return Fraction(1, self.modulus.p ** (0 if d is NEG_INF else d))
+        return Fraction(1, self.modulus.p**self.modulus.degree)

@@ -19,7 +19,6 @@ import functools
 from dataclasses import dataclass
 
 from .gfpoly import (
-    NEG_INF,
     BasePRational,
     Poly,
     ResidueClass,
@@ -28,7 +27,6 @@ from .gfpoly import (
     poly_from_int,
     poly_gcd,
     poly_is_irreducible,
-    poly_to_int,
 )
 
 
@@ -52,7 +50,7 @@ class LatticeConfig:
         pX = self.modulus
         if pX.p != self.p:
             raise ValueError("modulus prime mismatch")
-        if pX.degree is NEG_INF or pX.degree < 1 or not pX.is_monic:
+        if pX.degree < 1 or not pX.is_monic:
             raise ValueError("modulus must be monic and nonconstant")
         if not _irreducible_modulus(pX):
             raise ValueError("modulus must be irreducible")
@@ -187,8 +185,7 @@ class SubLatticeSpec:
 
     @property
     def deg_modulus(self) -> int:
-        d = self.cls.modulus.degree
-        return 0 if d is NEG_INF else d
+        return self.cls.modulus.degree
 
     @property
     def d(self) -> int:
@@ -210,12 +207,6 @@ class SubLatticeSpec:
             return k_base
         return k_base // Poly.x(p).shift(self.d - 1)
 
-    def anchor_index(self) -> int:
-        """The block member with zero low digit part (l = 0)."""
-        B, R = self.cls.modulus, self.cls.residue
-        n0 = self.shift_poly.shift(self.d) * B + R
-        return poly_to_int(n0)
-
 
 def _check_sublattice(spec: SubLatticeSpec, cfg: LatticeConfig):
     if spec.p != cfg.p:
@@ -224,10 +215,8 @@ def _check_sublattice(spec: SubLatticeSpec, cfg: LatticeConfig):
         raise ValueError("block level exceeds modulus degree")
     if spec.block_start + cfg.p**spec.u > cfg.n_points:
         raise ValueError("block extends past the point set")
-    if not spec.cls.modulus.is_zero:
-        g = poly_gcd(spec.cls.modulus, cfg.modulus)
-        if g.degree is not NEG_INF and g.degree > 0:
-            raise ValueError("modulus shares factor with pX")
+    if poly_gcd(spec.cls.modulus, cfg.modulus).degree > 0:
+        raise ValueError("modulus shares factor with pX")
 
 
 def sublattice_indices(spec: SubLatticeSpec, cfg: LatticeConfig) -> list:

@@ -24,16 +24,14 @@ from .discrepancy import (
     star_discrepancy_exact,
 )
 from .gfpoly import (
-    NEG_INF,
-    BasePRational,
     Poly,
     poly_from_int,
     poly_gcd,
     poly_to_int,
     valuation,
 )
-from .plattice import LatticeConfig, korobov_qvec, plattice_point_laurent
-from .seqgen import HaltonConfig
+from .plattice import LatticeConfig, korobov_qvec
+from .seqgen import HaltonConfig, hybrid_point_set
 from .walsh import _modulus_bound, walsh_weight_total
 
 DEFAULT_SEARCH_BUDGET = 10**6
@@ -173,6 +171,15 @@ class DualCounts:
         return self.kernel + self.low_valuation
 
 
+def _digit_freedom(modulus_b: Poly, pX: Poly, u: int) -> int:
+    """d = u - deg(B) for a nonzero B coprime to pX with deg(B) <= u <= m."""
+    if modulus_b.is_zero or poly_gcd(modulus_b, pX).degree != 0:
+        raise ValueError("modulus shares factor with pX")
+    if not modulus_b.degree <= u <= pX.degree:
+        raise ValueError("need deg(B) <= u <= m")
+    return u - modulus_b.degree
+
+
 def dual_solution_counts(
     kvec, modulus_b: Poly, pX: Poly, t: int, u: int, mode: str = "general"
 ) -> DualCounts:
@@ -190,12 +197,7 @@ def dual_solution_counts(
         raise ValueError("frequency tuple length must equal t")
     p = pX.p
     m = pX.degree
-    deg_b = 0 if modulus_b.degree is NEG_INF else modulus_b.degree
-    if modulus_b.is_zero or poly_gcd(modulus_b, pX).degree != 0:
-        raise ValueError("modulus shares factor with pX")
-    if not deg_b <= u <= m:
-        raise ValueError("need deg(B) <= u <= m")
-    d = u - deg_b
+    d = _digit_freedom(modulus_b, pX, u)
     kpolys = [poly_from_int(k, p) for k in kvec]
     if mode == "general":
         candidates = itertools.product(nonzero_polys(p, m), repeat=t)
@@ -234,11 +236,8 @@ def average_bound_check(modulus_b: Poly, u: int, pX: Poly, t: int, budget: int |
     over every generator tuple; raises if the average exceeds the cap."""
     p = pX.p
     m = pX.degree
+    d = _digit_freedom(modulus_b, pX, u)
     _check_budget((p**m - 1) ** t, budget)
-    deg_b = 0 if modulus_b.degree is NEG_INF else modulus_b.degree
-    if not deg_b <= u <= m:
-        raise ValueError("need deg(B) <= u <= m")
-    d = u - deg_b
     total = Fraction(0)
     count = 0
     for qvec in itertools.product(nonzero_polys(p, m), repeat=t):
@@ -257,9 +256,7 @@ def anchor_pair_set(m: int, pX: Poly, q: Poly | None = None) -> PointSetD:
     the unit generator by default."""
     p = pX.p
     cfg = LatticeConfig(p, pX, (Poly.one(p) if q is None else q,))
-    return PointSetD(
-        [(BasePRational(p, n, m),) + plattice_point_laurent(n, cfg) for n in range(p**m)]
-    )
+    return PointSetD(hybrid_point_set(m, HaltonConfig.make(p, ()), cfg))
 
 
 def negative_control_report(m: int, pX: Poly, t: int = 2) -> dict:

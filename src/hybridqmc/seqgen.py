@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gfpoly import (
-    NEG_INF,
     BasePRational,
     Poly,
     ResidueClass,
@@ -131,14 +130,12 @@ def radical_inverse_poly(n: int, base: Poly, sigma: SigmaBijection | None = None
     """Polynomial radical inverse of n in the given monic base."""
     p = base.p
     e = base.degree
-    if e is NEG_INF or e < 1 or not base.is_monic:
+    if e < 1 or not base.is_monic:
         raise ValueError("base must be monic and nonconstant")
     if sigma is None:
         sigma = identity_sigma(p, e)
     if sigma.p != p or sigma.e != e:
         raise ValueError("sigma does not match the base")
-    if sigma.table[0] != 0:
-        raise ValueError("sigma must map 0 to 0")
     if n < 0:
         raise ValueError("index must be >= 0")
     rem = poly_from_int(n, p)
@@ -232,8 +229,7 @@ def _crt_pair(b1: Poly, r1: Poly, b2: Poly, r2: Poly):
 
 
 def _class_sort_key(c: ResidueClass):
-    d = c.modulus.degree
-    return (0 if d is NEG_INF else d, poly_to_int(c.modulus), poly_to_int(c.residue))
+    return (c.modulus.degree, poly_to_int(c.modulus), poly_to_int(c.residue))
 
 
 def residue_classes_measure(classes) -> Fraction:

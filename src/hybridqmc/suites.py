@@ -2,14 +2,18 @@
 
 Each suite re-checks one structural fact behind the toolkit (box/class
 correspondence, Walsh-sum bound soundness, weight-sum identity, counting
-caps, ...) over an exhaustive or seeded-random grid, and reports the
-first counterexample on failure.  The CLI `verify` command runs them by
-name; the acceptance tests call them directly.
+caps, ...) over an exhaustive or seeded-random grid.  A suite is a
+generator: it yields once per passed check, raises `_Counterexample` at
+its first failed check and returns a description of its grid when every
+check passed.  `run_suite` drives it, counts the checks and builds the
+one `SuiteResult`.  The CLI `verify` command runs the suites by name;
+the acceptance tests call `run_suite` directly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,120 +70,95 @@ class SuiteResult:
         return f"FAIL ({self.detail}): {self.counterexample}"
 
 
-def _box_class_grid(cfg: HaltonConfig, max_level: int, n_limit: int):
-    """Yield (levels, numerators, classes) over the full admissible grid."""
-    p = cfg.p
-    degrees = cfg.degrees
-    level_space = itertools.product(range(max_level + 1), repeat=cfg.s)
-    for levels in level_space:
-        caps = [p ** (e * l) for e, l in zip(degrees, levels)]
-        for numerators in itertools.product(*(range(1, c + 1) for c in caps)):
-            yield levels, numerators, box_to_residue_classes(cfg, levels, numerators)
+class _Counterexample(Exception):
+    """A suite's first failed check: where it failed and what was seen."""
+
+    def __init__(self, detail: str, witness: str):
+        super().__init__(detail, witness)
+        self.detail = detail
+        self.witness = witness
 
 
-def suite_boxdecomp() -> SuiteResult:
+def _coprime_moduli(moduli, pX: Poly) -> list:
+    """The moduli of degree <= deg pX that share no factor with pX."""
+    return [
+        b for b in moduli if b.degree <= pX.degree and poly_gcd(b, pX).degree == 0
+    ]
+
+
+def suite_boxdecomp():
     """Box membership == residue-class membership, disjointness, and the
     exact measure identity; p=2 bases (X, X+1), levels <= 2, n < 256,
     plus a non-default sigma variant."""
-    checks = 0
-    variants = []
-    p2 = 2
-    variants.append(
-        ("default sigma", HaltonConfig.make(p2, (Poly.x(p2), Poly(p2, (1, 1)))), 256)
-    )
-    # degree-1 binary bases admit only the identity bijection, so the
-    # non-default variants use a quadratic base and p=3
-    swapped_e2 = SigmaBijection(2, 2, (0, 2, 3, 1))
-    variants.append(
+    swapped_p3 = SigmaBijection(3, 1, (0, 2, 1))
+    variants = (
+        ("default sigma", HaltonConfig.make(2, (Poly.x(2), Poly(2, (1, 1)))), 256),
+        # degree-1 binary bases admit only the identity bijection, so the
+        # non-default variants use a quadratic base and p=3
         (
             "sigma on quadratic base",
             HaltonConfig.make(
                 2,
                 (Poly.x(2), Poly(2, (1, 1, 1))),
-                (SigmaBijection(2, 1, (0, 1)), swapped_e2),
+                (SigmaBijection(2, 1, (0, 1)), SigmaBijection(2, 2, (0, 2, 3, 1))),
             ),
             256,
-        )
-    )
-    swapped_p3 = SigmaBijection(3, 1, (0, 2, 1))
-    variants.append(
+        ),
         (
             "sigma at p=3",
-            HaltonConfig.make(
-                3,
-                (Poly.x(3), Poly(3, (1, 1))),
-                (swapped_p3, swapped_p3),
-            ),
+            HaltonConfig.make(3, (Poly.x(3), Poly(3, (1, 1))), (swapped_p3, swapped_p3)),
             81,
-        )
+        ),
     )
     for label, cfg, n_limit in variants:
-        degrees = cfg.degrees
-        for levels, numerators, classes in _box_class_grid(cfg, 2, n_limit):
-            volume = Fraction(1)
-            for e, l, v in zip(degrees, levels, numerators):
-                volume *= Fraction(v, cfg.p ** (e * l))
-            if residue_classes_measure(classes) != volume:
-                return SuiteResult(
-                    "boxdecomp", False, checks, label,
-                    f"measure mismatch at levels={levels} v={numerators}",
-                )
-            bounds = [
-                Fraction(v, cfg.p ** (e * l))
-                for e, l, v in zip(degrees, levels, numerators)
-            ]
-            for n in range(n_limit):
-                point = halton_point(n, cfg)
-                in_box = all(x.as_fraction() < b for x, b in zip(point, bounds))
-                hits = sum(1 for c in classes if c.contains(n))
-                if hits > 1:
-                    return SuiteResult(
-                        "boxdecomp", False, checks, label,
-                        f"overlapping classes at n={n} levels={levels} v={numerators}",
+        for levels in itertools.product(range(3), repeat=cfg.s):
+            caps = [cfg.p ** (e * l) for e, l in zip(cfg.degrees, levels)]
+            for numerators in itertools.product(*(range(1, c + 1) for c in caps)):
+                classes = box_to_residue_classes(cfg, levels, numerators)
+                bounds = [Fraction(v, c) for v, c in zip(numerators, caps)]
+                if residue_classes_measure(classes) != math.prod(bounds):
+                    raise _Counterexample(
+                        label, f"measure mismatch at levels={levels} v={numerators}"
                     )
-                if in_box != (hits == 1):
-                    return SuiteResult(
-                        "boxdecomp", False, checks, label,
-                        f"membership mismatch at n={n} levels={levels} v={numerators}",
-                    )
-                checks += 1
-    return SuiteResult(
-        "boxdecomp", True, checks,
-        "p=2 bases (X, X+1) levels<=2 n<256, plus non-default sigma variants",
-    )
+                for n in range(n_limit):
+                    point = halton_point(n, cfg)
+                    in_box = all(x.as_fraction() < b for x, b in zip(point, bounds))
+                    hits = sum(1 for c in classes if c.contains(n))
+                    if hits > 1:
+                        raise _Counterexample(
+                            label,
+                            f"overlapping classes at n={n} levels={levels} v={numerators}",
+                        )
+                    if in_box != (hits == 1):
+                        raise _Counterexample(
+                            label,
+                            f"membership mismatch at n={n} levels={levels} v={numerators}",
+                        )
+                    yield
+    return "p=2 bases (X, X+1) levels<=2 n<256, plus non-default sigma variants"
 
 
-def suite_walshbound() -> SuiteResult:
+def suite_walshbound():
     """Exact L*D*_L <= Walsh-sum bound, exhaustively over binary lattices
     m <= 4, t <= 2, moduli in {1, X, X+1, (X+1)^2}, all residues."""
-    checks = 0
     p = 2
-    moduli = [
-        Poly.one(p),
-        Poly.x(p),
-        Poly(p, (1, 1)),
-        Poly(p, (1, 1)) * Poly(p, (1, 1)),
-    ]
+    moduli = [Poly.one(p), Poly.x(p), Poly(p, (1, 1)), Poly(p, (1, 1)) * Poly(p, (1, 1))]
     tight_seen = False
     for m in range(2, 5):
         pX = irreducible_poly(p, m)
         for t in (1, 2):
             for qvec in itertools.product(nonzero_polys(p, m), repeat=t):
                 cfg = LatticeConfig(p, pX, qvec)
-                for modulus in moduli:
-                    deg_b = modulus.degree if modulus.coeffs else 0
-                    if deg_b > m or poly_gcd(modulus, pX).degree != 0:
-                        continue
-                    u = m
-                    for r_enc in range(p**deg_b):
+                for modulus in _coprime_moduli(moduli, pX):
+                    for r_enc in range(p**modulus.degree):
                         residue = poly_from_int(r_enc, p)
-                        spec = SubLatticeSpec(u, 0, ResidueClass(modulus, residue))
+                        spec = SubLatticeSpec(m, 0, ResidueClass(modulus, residue))
                         bound = walsh_discrepancy_bound(spec, cfg)
                         pts = PointSetD(sublattice_enumerate(spec, cfg))
                         exact = pts.n * star_discrepancy_exact(pts)
                         if exact > bound:
-                            return SuiteResult(
-                                "walshbound", False, checks, f"m={m} t={t}",
+                            raise _Counterexample(
+                                f"m={m} t={t}",
                                 f"exact {exact} > bound {bound} at q={[str(q) for q in qvec]} "
                                 f"B={modulus} R={residue}",
                             )
@@ -192,22 +171,17 @@ def suite_walshbound() -> SuiteResult:
                             and exact == 1
                         ):
                             tight_seen = True
-                        checks += 1
+                        yield
     if not tight_seen:
-        return SuiteResult(
-            "walshbound", False, checks, "tight case",
-            "expected bound = exact = 1 for p=2 m=2 q=(X) B=1",
+        raise _Counterexample(
+            "tight case", "expected bound = exact = 1 for p=2 m=2 q=(X) B=1"
         )
-    return SuiteResult(
-        "walshbound", True, checks,
-        "p=2, m<=4, t<=2, B in {1, X, X+1, (X+1)^2}, all residues, tight case included",
-    )
+    return "p=2, m<=4, t<=2, B in {1, X, X+1, (X+1)^2}, all residues, tight case included"
 
 
-def suite_weightsum() -> SuiteResult:
+def suite_weightsum():
     """Closed-form total Walsh weight equals direct summation
     (exact at p=2, 1e-9 otherwise); p in {2,3,5}, m <= 3, t <= 3."""
-    checks = 0
     for p in (2, 3, 5):
         for m in range(1, 4):
             for t in range(1, 4):
@@ -218,17 +192,16 @@ def suite_weightsum() -> SuiteResult:
                 else:
                     ok = abs(float(closed) - direct) <= 1e-9
                 if not ok:
-                    return SuiteResult(
-                        "weightsum", False, checks, f"p={p} m={m} t={t}",
+                    raise _Counterexample(
+                        f"p={p} m={m} t={t}",
                         f"closed {float(closed)} != direct {float(direct)}",
                     )
-                checks += 1
-    return SuiteResult("weightsum", True, checks, "p in {2,3,5}, m<=3, t<=3")
+                yield
+    return "p in {2,3,5}, m<=3, t<=3"
 
 
-def suite_valcount() -> SuiteResult:
+def suite_valcount():
     """Exhaustive low-valuation count equals p^(m-u) - 1 for u <= m <= 6."""
-    checks = 0
     for p in (2, 3):
         for m in range(1, 7):
             pX = irreducible_poly(p, m)
@@ -236,26 +209,19 @@ def suite_valcount() -> SuiteResult:
                 got = count_low_valuation(pX, u)
                 want = p ** (m - u) - 1
                 if got != want:
-                    return SuiteResult(
-                        "valcount", False, checks, f"p={p} m={m} u={u}",
-                        f"count {got} != {want}",
-                    )
-                checks += 1
-    return SuiteResult("valcount", True, checks, "p in {2,3}, 0 <= u <= m <= 6")
+                    raise _Counterexample(f"p={p} m={m} u={u}", f"count {got} != {want}")
+                yield
+    return "p in {2,3}, 0 <= u <= m <= 6"
 
 
 def _random_sublattice(rng: random.Random, p: int, m: int, t: int):
     pX = irreducible_poly(p, m)
-    qvec = tuple(
-        poly_from_int(rng.randrange(1, p**m), p) for _ in range(t)
-    )
+    qvec = tuple(poly_from_int(rng.randrange(1, p**m), p) for _ in range(t))
     cfg = LatticeConfig(p, pX, qvec)
     while True:
         deg_b = rng.randrange(0, m + 1)
         enc = rng.randrange(p**deg_b, 2 * p**deg_b) if deg_b else 1
         modulus = poly_from_int(enc, p)
-        if deg_b == 0:
-            modulus = Poly.one(p)
         if poly_gcd(modulus, pX).degree == 0:
             break
     residue = poly_from_int(rng.randrange(p**deg_b), p) if deg_b else Poly.zero(p)
@@ -266,12 +232,11 @@ def _random_sublattice(rng: random.Random, p: int, m: int, t: int):
     return spec, cfg
 
 
-def suite_dichotomy(trials: int = 200, seed: int = 20240801) -> SuiteResult:
+def suite_dichotomy():
     """|character sum| is 0 or p^d exactly, and fullness agrees with both
     the matrix-kernel and the valuation dual tests."""
-    rng = random.Random(seed)
-    checks = 0
-    for _ in range(trials):
+    rng = random.Random(20240801)
+    for _ in range(200):
         p = rng.choice((2, 3))
         m = rng.randrange(1, 6)
         t = rng.randrange(1, 3)
@@ -281,96 +246,73 @@ def suite_dichotomy(trials: int = 200, seed: int = 20240801) -> SuiteResult:
         try:
             mag = acc.magnitude()
         except ArithmeticError:
-            return SuiteResult(
-                "dichotomy", False, checks, "integer accumulator",
+            raise _Counterexample(
+                "integer accumulator",
                 f"counts {acc.counts} at p={p} m={m} spec={spec} k={kvec}",
-            )
+            ) from None
         full = mag == p**spec.d
         if mag not in (0, p**spec.d):
-            return SuiteResult(
-                "dichotomy", False, checks, "magnitude",
-                f"|sum|={mag} at p={p} m={m} k={kvec}",
-            )
+            raise _Counterexample("magnitude", f"|sum|={mag} at p={p} m={m} k={kvec}")
         if full != dual_test_matrix(spec, cfg, kvec) or full != dual_test_valuation(
             spec, cfg, kvec
         ):
-            return SuiteResult(
-                "dichotomy", False, checks, "three-way agreement",
+            raise _Counterexample(
+                "three-way agreement",
                 f"p={p} m={m} q={[str(q) for q in cfg.generators]} "
                 f"B={spec.cls.modulus} R={spec.cls.residue} u={spec.u} k={kvec}",
             )
-        checks += 1
-    return SuiteResult(
-        "dichotomy", True, checks, f"{trials} random (cfg, spec, k), p in {{2,3}}, m<=5, t<=2"
-    )
+        yield
+    return "200 random (cfg, spec, k), p in {2,3}, m<=5, t<=2"
 
 
-def suite_sublattice(trials: int = 500, seed: int = 19937) -> SuiteResult:
+def suite_sublattice():
     """Block/residue intersections have size p^d and the affine digit map
     reproduces the enumerated points as multisets."""
-    rng = random.Random(seed)
-    checks = 0
-    for _ in range(trials):
+    rng = random.Random(19937)
+    for _ in range(500):
         p = rng.choice((2, 3))
         m = rng.randrange(1, 6)
         t = rng.randrange(1, 3)
         spec, cfg = _random_sublattice(rng, p, m, t)
         enumerated = sublattice_enumerate(spec, cfg)
         if len(enumerated) != p**spec.d:
-            return SuiteResult(
-                "sublattice", False, checks, "cardinality",
-                f"|points|={len(enumerated)} != p^{spec.d} at {spec}",
+            raise _Counterexample(
+                "cardinality", f"|points|={len(enumerated)} != p^{spec.d} at {spec}"
             )
         _, _, affine = sublattice_affine(spec, cfg)
         if sorted(enumerated) != sorted(affine):
-            return SuiteResult(
-                "sublattice", False, checks, "affine agreement",
-                f"mismatch at p={p} m={m} spec={spec}",
-            )
-        checks += 1
-    return SuiteResult(
-        "sublattice", True, checks, f"{trials} random specs, p in {{2,3}}, m<=5"
-    )
+            raise _Counterexample("affine agreement", f"mismatch at p={p} m={m} spec={spec}")
+        yield
+    return "500 random specs, p in {2,3}, m<=5"
 
 
-def suite_averaging() -> SuiteResult:
+def suite_averaging():
     """Mean Walsh-sum bound over all generator tuples stays below the
     closed-form cap; p=2, m <= 4, t <= 2, moduli {1, X+1, (X+1)^2}, u=m."""
-    checks = 0
     p = 2
     moduli = [Poly.one(p), Poly(p, (1, 1)), Poly(p, (1, 1)) * Poly(p, (1, 1))]
     for m in range(2, 5):
         pX = irreducible_poly(p, m)
         for t in (1, 2):
-            for modulus in moduli:
-                deg_b = modulus.degree if modulus.coeffs else 0
-                if deg_b > m or poly_gcd(modulus, pX).degree != 0:
-                    continue
+            for modulus in _coprime_moduli(moduli, pX):
                 empirical, cap = average_bound_check(modulus, m, pX, t)
                 if empirical > cap:
-                    return SuiteResult(
-                        "averaging", False, checks, f"m={m} t={t} B={modulus}",
+                    raise _Counterexample(
+                        f"m={m} t={t} B={modulus}",
                         f"empirical {float(empirical)} > cap {float(cap)}",
                     )
-                checks += 1
-    return SuiteResult(
-        "averaging", True, checks, "p=2, m<=4, t<=2, B in {1, X+1, (X+1)^2}, u=m"
-    )
+                yield
+    return "p=2, m<=4, t<=2, B in {1, X+1, (X+1)^2}, u=m"
 
 
-def suite_counting() -> SuiteResult:
+def suite_counting():
     """Kernel/dual counting caps for every nonzero frequency tuple;
     p=2, m <= 3, general t <= 2 and Korobov t <= 3, B in {1, X+1}."""
-    checks = 0
     p = 2
     for m in range(1, 4):
         pX = irreducible_poly(p, m)
-        moduli = [Poly.one(p), Poly(p, (1, 1))]
-        for modulus in moduli:
-            deg_b = modulus.degree if modulus.coeffs else 0
-            if deg_b > m or poly_gcd(modulus, pX).degree != 0:
-                continue
-            for u in range(deg_b, m + 1):
+        for modulus in _coprime_moduli([Poly.one(p), Poly(p, (1, 1))], pX):
+            for u in range(modulus.degree, m + 1):
                 for mode, tmax in (("general", 2), ("korobov", 3)):
                     for t in range(1, tmax + 1):
                         for kvec in itertools.product(range(p**m), repeat=t):
@@ -379,22 +321,17 @@ def suite_counting() -> SuiteResult:
                             try:
                                 dual_solution_counts(kvec, modulus, pX, t, u, mode)
                             except ArithmeticError as exc:
-                                return SuiteResult(
-                                    "counting", False, checks,
+                                raise _Counterexample(
                                     f"{mode} m={m} t={t} B={modulus} u={u}",
                                     f"k={kvec}: {exc}",
-                                )
-                            checks += 1
-    return SuiteResult(
-        "counting", True, checks,
-        "p=2, m<=3, B in {1, X+1}, general t<=2 / korobov t<=3, all k",
-    )
+                                ) from None
+                            yield
+    return "p=2, m<=3, B in {1, X+1}, general t<=2 / korobov t<=3, all k"
 
 
-def suite_certificate() -> SuiteResult:
+def suite_certificate():
     """Certificate totals dominate the exact scaled discrepancy of every
     hybrid prefix; p=2, m <= 4, s in {0, 1}, t=1, all generators."""
-    checks = 0
     p = 2
     for m in range(2, 5):
         pX = irreducible_poly(p, m)
@@ -407,22 +344,20 @@ def suite_certificate() -> SuiteResult:
                 for nn in range(1, points.n + 1):
                     exact = nn * star_discrepancy_exact(points.prefix(nn))
                     if exact > cert.total:
-                        return SuiteResult(
-                            "certificate", False, checks, f"m={m} s={len(bases)}",
+                        raise _Counterexample(
+                            f"m={m} s={len(bases)}",
                             f"{nn}*D* = {float(exact)} > total {float(cert.total)} "
                             f"at q encoding {q_enc}",
                         )
-                    checks += 1
+                    yield
                 reduced = prefix_reduction_bound(points)
                 if points.n * star_discrepancy_exact(points) > reduced:
-                    return SuiteResult(
-                        "certificate", False, checks, f"m={m} s={len(bases)}",
+                    raise _Counterexample(
+                        f"m={m} s={len(bases)}",
                         f"prefix reduction bound violated at q encoding {q_enc}",
                     )
-                checks += 1
-    return SuiteResult(
-        "certificate", True, checks, "p=2, m<=4, s in {0,1}, t=1, all q, all prefixes"
-    )
+                yield
+    return "p=2, m<=4, s in {0,1}, t=1, all q, all prefixes"
 
 
 SUITES = {
@@ -439,6 +374,17 @@ SUITES = {
 
 
 def run_suite(name: str) -> SuiteResult:
+    """Run the named suite: count its checks and report its pass
+    description or its first counterexample."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
-    return SUITES[name]()
+    suite = SUITES[name]()
+    checks = 0
+    try:
+        while True:
+            next(suite)
+            checks += 1
+    except StopIteration as done:
+        return SuiteResult(name, True, checks, done.value)
+    except _Counterexample as failure:
+        return SuiteResult(name, False, checks, failure.detail, failure.witness)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gfpoly import (
-    NEG_INF,
     BasePRational,
     Poly,
     poly_from_int,
@@ -221,7 +220,7 @@ def dual_test_valuation(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> bool:
 def count_low_valuation(pX: Poly, u: int) -> int:
     """Exhaustive count of nonzero a of degree < m with valuation(a/pX) < -u."""
     m = pX.degree
-    if m is NEG_INF or m < 1 or not pX.is_monic or not poly_is_irreducible(pX):
+    if m < 1 or not pX.is_monic or not poly_is_irreducible(pX):
         raise ValueError("modulus must be monic irreducible")
     if not 0 <= u <= m:
         raise ValueError(f"level {u} outside [0, {m}]")

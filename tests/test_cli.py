@@ -196,3 +196,50 @@ def test_workers_help_says_it_has_no_effect(capsys, command):
     with pytest.raises(SystemExit):
         main([command, "--help"])
     assert "accepted for compatibility; has no effect" in capsys.readouterr().out
+
+
+GF256 = ("gen", "plattice", "--p", "2", "--px", "X^8+X^4+X^3+X+1", "--q", "X^7+1")
+
+
+def test_decimal_file_reads_back(tmp_path, capsys):
+    # 0.99609375 rounds to 1.00 at two digits; the token must stay below 1
+    target = tmp_path / "pts.txt"
+    code, _, _ = run(
+        capsys, *GF256, "--format", "decimal", "--precision", "2", "--output", str(target)
+    )
+    assert code == 0
+    assert "0.99" in target.read_text().split()
+    code, _, err = run(capsys, "disc", "exact", "--input", str(target))
+    assert code == 0 and not err
+    for precision in ("0", "-3"):
+        code, out, err = run(capsys, *GF256, "--format", "decimal", "--precision", precision)
+        assert code == 1 and "usage error" in err and not out
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_gen_halton_count_below_one_fails(tmp_path, capsys, count):
+    target = tmp_path / "pts.txt"
+    code, out, err = run(
+        capsys, "gen", "halton", "--p", "2", "--bases", "X", "--count", count,
+        "--output", str(target),
+    )
+    assert code == 2 and "count" in err and not out
+    assert not target.exists()
+
+
+def test_disc_multi_dimensional_oracle(tmp_path, capsys):
+    # the criterion-12 set: 8 points in 3 dimensions
+    target = tmp_path / "pts.txt"
+    code, _, _ = run(
+        capsys,
+        "gen", "hybrid", "--p", "2", "--px", "X^3+X+1", "--bases", "X", "--q", "X^2",
+        "--output", str(target),
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "disc", "exact", "--input", str(target))
+    assert code == 0 and out == "49/128 (= 0.3828125)\n"
+    code, out, _ = run(capsys, "disc", "prefix", "--input", str(target))
+    assert code == 0 and out == "109/32 (= 3.40625)\n"
+    for mode in ("exact", "prefix"):
+        code, out, err = run(capsys, "disc", mode, "--input", str(target), "--budget", "10")
+        assert code == 3 and "budget" in err and not out

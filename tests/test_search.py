@@ -124,6 +124,11 @@ def test_average_bound_examples():
     # d = 0 caps every bound at 1
     emp0, _ = average_bound_check(P("X+1"), 1, PX3, 1)
     assert emp0 <= 1
+    # bad input is a ValueError, not a failed cap: a zero B, and B = pX
+    with pytest.raises(ValueError):
+        average_bound_check(Poly.zero(2), 2, PX2, 1)
+    with pytest.raises(ValueError):
+        average_bound_check(PX3, 3, PX3, 1)
 
 
 def test_anchor_pair_leading_digits_coincide():
