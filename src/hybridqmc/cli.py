@@ -41,11 +41,15 @@ class _UsageError(Exception):
     pass
 
 
-def _precision(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("precision must be >= 1")
-    return value
+def _int_at_least(name: str, low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}")
+        return value
+
+    parse.__name__ = name  # argparse names it in "invalid <name> value"
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,7 +72,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--count", type=int, help="number of points")
     gen.add_argument("--n", type=int, help="emit the single point of this index")
     gen.add_argument("--format", choices=["rational", "decimal"], default="rational")
-    gen.add_argument("--precision", type=_precision, default=12)
+    gen.add_argument("--precision", type=_int_at_least("precision", 1), default=12)
     gen.add_argument("--output", help="output file (default: stdout)")
     gen.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
@@ -92,7 +96,7 @@ def _build_parser() -> _Parser:
     search.add_argument("--px", help="modulus (default: smallest irreducible)")
     search.add_argument("--bases", default="", help="Halton bases (may be empty)")
     search.add_argument("--budget", type=int)
-    search.add_argument("--top", type=int, default=10)
+    search.add_argument("--top", type=_int_at_least("top", 0), default=10)
     search.add_argument("--output", help="report file (default: stdout)")
     search.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 

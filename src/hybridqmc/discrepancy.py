@@ -310,6 +310,7 @@ def discrepancy_certificate(
     degrees = halton_cfg.degrees
     s = halton_cfg.s
     levels = [LevelBreakdown(0, Fraction(1), ())]
+    moduli = {}  # shape exponents -> prod b_i^(j_i), built once per certificate
     for u in range(1, m + 1):
         f = [-(-u // e) for e in degrees]
         shapes = []
@@ -323,11 +324,10 @@ def discrepancy_certificate(
             if d < 0:
                 bound = Fraction(1)
             else:
-                modulus = Poly.one(p)
-                for b, j in zip(halton_cfg.bases, exps):
-                    for _ in range(j):
-                        modulus = modulus * b
-                bound = _modulus_bound(lattice_cfg, modulus, d)
+                if exps not in moduli:
+                    factors = (b for b, j in zip(halton_cfg.bases, exps) for _ in range(j))
+                    moduli[exps] = prod(factors, start=Poly.one(p))
+                bound = _modulus_bound(lattice_cfg, moduli[exps], d)
             shapes.append(ShapeContribution(exps, deg_b, d, mult, bound))
             value += mult * bound
         levels.append(LevelBreakdown(u, value, tuple(shapes)))

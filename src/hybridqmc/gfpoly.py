@@ -495,7 +495,9 @@ class BasePRational:
     """Exact coordinate numerator / p^L in [0, 1).
 
     The exponent L is retained as constructed (it records the natural digit
-    resolution of the coordinate); equality and ordering compare values.
+    resolution of the coordinate); equality and ordering compare values,
+    between two of them as the integers num * q^K and num' * p^L.  The hash
+    is the Fraction hash, so equal values hash alike as Fraction and int.
     """
 
     __slots__ = ("p", "num", "L")
@@ -541,14 +543,14 @@ class BasePRational:
 
     def __eq__(self, other):
         if isinstance(other, BasePRational):
-            return self.as_fraction() == other.as_fraction()
+            return self.num * other.p**other.L == other.num * self.p**self.L
         if isinstance(other, (int, Fraction)):
             return self.as_fraction() == other
         return NotImplemented
 
     def __lt__(self, other):
         if isinstance(other, BasePRational):
-            return self.as_fraction() < other.as_fraction()
+            return self.num * other.p**other.L < other.num * self.p**self.L
         if isinstance(other, (int, Fraction)):
             return self.as_fraction() < other
         return NotImplemented

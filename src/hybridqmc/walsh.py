@@ -199,7 +199,7 @@ def _combined_numerator(cfg: LatticeConfig, kvec) -> Poly:
 def _combined_residues(cfg: LatticeConfig) -> tuple:
     """(kvec, (sum_i k_i*q_i) mod pX, weight) for every nonzero frequency
     tuple: the frequency side of the dual weight sum, kept as a desk-scale
-    reference for _dual_weight_sum."""
+    reference for _shape_sums."""
     out = []
     for kvec in itertools.product(range(cfg.p**cfg.m), repeat=cfg.t):
         if any(kvec):
@@ -241,29 +241,36 @@ def _scaled_phi(digits, p: int) -> int:
     return 3 * p + len(digits) * (p * p - 1)
 
 
-def _dual_weight_sum(cfg: LatticeConfig, modulus: Poly, d: int) -> Fraction:
-    """Sum of product weights over nonzero frequency tuples in the dual of
-    the sub-lattice l*B (l of degree < d), from its p^d points:
-    p^-d * sum_l prod_i phi(x_i(l)) - 1, exact for every prime."""
-    p = cfg.p
+@functools.lru_cache(maxsize=4096)
+def _shape_sums(cfg: LatticeConfig, modulus: Poly) -> tuple:
+    """S_d = sum_l prod_i 3p*phi(x_i(l)) over the p^d points l*B, deg l < d,
+    for every d = 0..m - deg B: prefix sums of one digit-map pass at the
+    largest d, whose first p^d images (l_0 least significant) are those of
+    the degree-<d block.  Every caller needs all d (the certificate) or the
+    largest (u = m); a small d alone would still pay p^(m - deg B) images."""
+    p, dmax = cfg.p, cfg.m - modulus.degree
     zero = (0,) * cfg.m
     columns = [
-        digit_images(digit_matrix(modulus * q, cfg.modulus, d), zero, p)
+        digit_images(digit_matrix(modulus * q, cfg.modulus, dmax), zero, p)
         for q in cfg.generators
     ]
-    total = sum(
-        math.prod(_scaled_phi(x, p) for x in point) for point in zip(*columns)
+    prefix = list(
+        itertools.accumulate(
+            math.prod(_scaled_phi(x, p) for x in point) for point in zip(*columns)
+        )
     )
-    return Fraction(total, p**d * (3 * p) ** cfg.t) - 1
+    return tuple(prefix[p**d - 1] for d in range(dmax + 1))
 
 
 @functools.lru_cache(maxsize=65536)
 def _modulus_bound(cfg: LatticeConfig, modulus: Poly, d: int) -> Fraction:
-    """t*p^(d-m) plus p^d times the dual weight sum, capped at p^d: an
-    exact rational for every prime."""
-    cap = cfg.p**d
-    bound = Fraction(cfg.t, cfg.p ** (cfg.m - d)) + cap * _dual_weight_sum(cfg, modulus, d)
-    return min(bound, Fraction(cap))
+    """t*p^(d-m) plus p^d times the dual weight sum p^-d * S_d/(3p)^t - 1,
+    capped at p^d: one exact Fraction over p^(m-d) * (3p)^t, every prime."""
+    p, t = cfg.p, cfg.t
+    scale, rest = (3 * p) ** t, p ** (cfg.m - d)
+    den = rest * scale
+    num = t * scale + rest * _shape_sums(cfg, modulus)[d] - p**d * den
+    return Fraction(min(num, p**d * den), den)
 
 
 def walsh_discrepancy_bound(spec: SubLatticeSpec, cfg: LatticeConfig):

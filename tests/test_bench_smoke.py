@@ -29,7 +29,12 @@ def test_bench_workload_pass(workload):
     assert last["correct"] is True and last["failed"] == 0
 
 
-def test_bench_traced_pass():
-    last = _bench("--workload", "search-t2", "--trace", "1")
+@pytest.mark.parametrize("workload", ["search-t1", "search-t2"])
+def test_bench_traced_pass(workload):
+    # a failed self-check (walsh.bound_calls != cache hits + misses, i.e. a
+    # _modulus_bound call that bypassed the traced binding sites) counts as
+    # a failed operation
+    last = _bench("--workload", workload, "--trace", "1")
     assert last["correct"] is True and last["failed"] == 0
+    assert last["metrics"]["walsh.bound_calls"]["value"] > 0
     assert last["metrics"]["walsh.residue_tables"]["value"] == 0

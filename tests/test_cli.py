@@ -87,6 +87,15 @@ def test_search_korobov_singleton(capsys):
     assert json.loads(out)["candidateCount"] == 1
 
 
+def test_search_top_below_zero_is_a_usage_error(capsys):
+    argv = ("search", "exhaustive", "--p", "2", "--m", "3", "--t", "1")
+    code, out, err = run(capsys, *argv, "--top", "-1")
+    assert code == 1 and "usage error" in err and not out
+    code, out, _ = run(capsys, *argv, "--top", "0")
+    report = json.loads(out)
+    assert code == 0 and report["candidateCount"] == 7 and report["table"] == []
+
+
 def test_exit_codes(tmp_path, capsys):
     # usage: unknown suite
     code, _, err = run(capsys, "verify", "nonsense")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridqmc.gfpoly import (
     NEG_INF,
@@ -95,6 +97,27 @@ def test_egcd_bezout():
         g, s, t = poly_egcd(a, b)
         assert s * a + t * b == g
         assert g.is_monic
+
+
+@st.composite
+def _poly_pairs(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    coeffs = st.lists(st.integers(0, p - 1), max_size=9)  # degree <= 8
+    return Poly(p, draw(coeffs)), Poly(p, draw(coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_pairs())
+def test_egcd_bezout_property(pair):
+    a, b = pair
+    if a.is_zero and b.is_zero:
+        with pytest.raises(ValueError):
+            poly_egcd(a, b)
+        return
+    g, s, t = poly_egcd(a, b)
+    assert s * a + t * b == g
+    assert g.is_monic
+    assert (a % g).is_zero and (b % g).is_zero
 
 
 def test_irreducibility_examples():
@@ -245,6 +268,23 @@ def test_base_p_rational_invariants():
     with pytest.raises(ValueError):
         BasePRational(2, 1, 0)
     assert sorted([BasePRational(2, 3, 2), BasePRational(2, 1, 2)])[0].num == 1
+
+
+def test_base_p_rational_ordering_mixed():
+    # mixed exponents and mixed primes compare, order and hash as their values
+    values = [
+        BasePRational(p, num, L) for p in (2, 3, 5) for L in range(4) for num in range(p**L)
+    ]
+    for a in values:
+        for b in values:
+            fa, fb = a.as_fraction(), b.as_fraction()
+            assert (a == b) == (fa == fb)
+            assert (a < b) == (fa < fb)
+            if a == b:
+                assert hash(a) == hash(b)
+        assert a == a.as_fraction() and hash(a) == hash(a.as_fraction())
+    assert [x.as_fraction() for x in sorted(values)] == sorted(x.as_fraction() for x in values)
+    assert BasePRational(3, 0, 2) == 0 and hash(BasePRational(3, 0, 2)) == hash(0)
 
 
 def test_residue_class():

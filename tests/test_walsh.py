@@ -15,11 +15,21 @@ from hybridqmc.gfpoly import (
     poly_parse,
     valuation,
 )
-from hybridqmc.plattice import LatticeConfig, SubLatticeSpec, sublattice_enumerate
+from hybridqmc.discrepancy import discrepancy_certificate
+from hybridqmc.plattice import (
+    LatticeConfig,
+    SubLatticeSpec,
+    digit_images,
+    digit_matrix,
+    sublattice_enumerate,
+)
+from hybridqmc.seqgen import HaltonConfig
 from hybridqmc.walsh import (
     CharacterAccumulator,
     _combined_residues,
-    _dual_weight_sum,
+    _modulus_bound,
+    _scaled_phi,
+    _shape_sums,
     character_sum,
     count_low_valuation,
     dual_test_matrix,
@@ -234,6 +244,12 @@ def test_walsh_bound_residue_independent():
     assert len(vals) == 1
 
 
+def _dual_weight_sum(cfg, modulus, d):
+    # sum of product weights over the nonzero frequency tuples in the dual
+    # of l*B (deg l < d), from its p^d points: p^-d * S_d / (3p)^t - 1
+    return Fraction(_shape_sums(cfg, modulus)[d], cfg.p**d * (3 * cfg.p) ** cfg.t) - 1
+
+
 def test_dual_weight_sum_matches_frequency_enumeration():
     # reference: the weights of every nonzero frequency tuple whose combined
     # residue times B sinks below X^-d, enumerated over all p^(mt) tuples
@@ -268,6 +284,9 @@ def test_dual_weight_sum_matches_frequency_enumeration():
                         ]
                         got = _dual_weight_sum(cfg, B, d)
                         assert isinstance(got, Fraction)
+                        assert _modulus_bound(cfg, B, d) == min(
+                            Fraction(t, p ** (m - d)) + p**d * got, p**d
+                        )
                         if p == 2:
                             assert got == sum(ref, Fraction(0))
                         else:
@@ -275,3 +294,43 @@ def test_dual_weight_sum_matches_frequency_enumeration():
                             assert abs(float(got) - expected) <= 1e-9 * expected
                         checks += 1
     assert checks == 1896
+
+
+def _dual_weight_sum_per_level(cfg, modulus, d):
+    # reference: a digit map and a pass over the p^d images of its own for
+    # every level, where _shape_sums reads every level off one pass
+    p = cfg.p
+    zero = (0,) * cfg.m
+    columns = [
+        digit_images(digit_matrix(modulus * q, cfg.modulus, d), zero, p)
+        for q in cfg.generators
+    ]
+    total = sum(math.prod(_scaled_phi(x, p) for x in point) for point in zip(*columns))
+    return Fraction(total, p**d * (3 * p) ** cfg.t) - 1
+
+
+@pytest.mark.parametrize(
+    "p, m, q, total, shapes",
+    [(2, 5, "X^3+X+1", Fraction(897, 8), 20), (3, 3, "X^2+2", Fraction(138), 4)],
+)
+def test_certificate_class_bounds_match_per_level_sums(p, m, q, total, shapes):
+    pX = irreducible_poly(p, m)
+    bases = (P("X", p), P("X+1", p))
+    cfg = LatticeConfig(p, pX, (P(q, p),))
+    cert = discrepancy_certificate(m, HaltonConfig.make(p, bases), cfg)
+    checked = 0
+    for level in cert.per_level:
+        for shape in level.shapes:
+            if shape.d < 0:
+                assert shape.class_bound == 1
+                continue
+            B = Poly.one(p)
+            for b, j in zip(bases, shape.exponents):
+                for _ in range(j):
+                    B = B * b
+            ref = _dual_weight_sum_per_level(cfg, B, shape.d)
+            cap = p**shape.d
+            assert shape.class_bound == min(Fraction(1, p ** (m - shape.d)) + cap * ref, cap)
+            checked += 1
+    assert checked == shapes
+    assert cert.total == total
