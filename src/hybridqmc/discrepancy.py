@@ -18,6 +18,7 @@ classes grouped by modulus shape, and the Walsh-sum bound per shape.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 import re
@@ -286,6 +287,33 @@ class Certificate:
         }
 
 
+@functools.lru_cache(maxsize=64)
+def _shape_table(p: int, bases: tuple, m: int) -> tuple:
+    """Per level u = 1..m, one (exponents, deg B, multiplicity, modulus)
+    per shape, the modulus prod b_i^(j_i) only where deg B <= u: the part
+    of a certificate that depends on the Halton bases alone."""
+    degrees = [b.degree for b in bases]
+    moduli = {}  # shape exponents -> prod b_i^(j_i), built once per table
+    levels = []
+    for u in range(1, m + 1):
+        f = [-(-u // e) for e in degrees]
+        shapes = []
+        for exps in itertools.product(*(range(1, fi + 1) for fi in f)):
+            deg_b = sum(e * j for e, j in zip(degrees, exps))
+            mult = 1
+            for e, j, fi in zip(degrees, exps, f):
+                mult *= (p**e - 1) + (1 if j == fi else 0)
+            modulus = None
+            if deg_b <= u:
+                if exps not in moduli:
+                    factors = (b for b, j in zip(bases, exps) for _ in range(j))
+                    moduli[exps] = prod(factors, start=Poly.one(p))
+                modulus = moduli[exps]
+            shapes.append((exps, deg_b, mult, modulus))
+        levels.append(tuple(shapes))
+    return tuple(levels)
+
+
 def discrepancy_certificate(
     m: int, halton_cfg: HaltonConfig, lattice_cfg: LatticeConfig
 ) -> Certificate:
@@ -297,7 +325,8 @@ def discrepancy_certificate(
     class-multiplicity bound times the Walsh-sum bound (or 1 when the
     modulus degree exceeds u).  The multiplicity is prod (p^(e_i) - 1),
     with one extra class at j_i = ceil(u/e_i) covering boxes that span a
-    full coordinate.
+    full coordinate.  Level values and the total are summed as integers
+    over p^m * (3p)^t, which every class bound's denominator divides.
     """
     p = halton_cfg.p
     if lattice_cfg.p != p:
@@ -307,32 +336,26 @@ def discrepancy_certificate(
     for b in halton_cfg.bases:
         if poly_gcd(b, lattice_cfg.modulus).degree != 0:
             raise ValueError("Halton base shares a factor with the lattice modulus")
-    degrees = halton_cfg.degrees
-    s = halton_cfg.s
+    t = lattice_cfg.t
+    den = p**m * (3 * p) ** t
     levels = [LevelBreakdown(0, Fraction(1), ())]
-    moduli = {}  # shape exponents -> prod b_i^(j_i), built once per certificate
-    for u in range(1, m + 1):
-        f = [-(-u // e) for e in degrees]
+    nums = [den]
+    for u, table in enumerate(_shape_table(p, halton_cfg.bases, m), start=1):
         shapes = []
-        value = Fraction(s)
-        for exps in itertools.product(*(range(1, fi + 1) for fi in f)):
-            deg_b = sum(e * j for e, j in zip(degrees, exps))
-            mult = 1
-            for e, j, fi in zip(degrees, exps, f):
-                mult *= (p**e - 1) + (1 if j == fi else 0)
+        num = halton_cfg.s * den
+        for exps, deg_b, mult, modulus in table:
             d = u - deg_b
-            if d < 0:
+            if modulus is None:
                 bound = Fraction(1)
+                num += mult * den
             else:
-                if exps not in moduli:
-                    factors = (b for b, j in zip(halton_cfg.bases, exps) for _ in range(j))
-                    moduli[exps] = prod(factors, start=Poly.one(p))
-                bound = _modulus_bound(lattice_cfg, moduli[exps], d)
+                bound = _modulus_bound(lattice_cfg, modulus, d)
+                num += mult * bound.numerator * (den // bound.denominator)
             shapes.append(ShapeContribution(exps, deg_b, d, mult, bound))
-            value += mult * bound
-        levels.append(LevelBreakdown(u, value, tuple(shapes)))
-    total = 1 + levels[m].value + (p - 1) * sum(lv.value for lv in levels[:m])
-    return Certificate(p, m, s, len(lattice_cfg.generators), total, tuple(levels))
+        levels.append(LevelBreakdown(u, Fraction(num, den), tuple(shapes)))
+        nums.append(num)
+    total = Fraction(den + nums[m] + (p - 1) * sum(nums[:m]), den)
+    return Certificate(p, m, halton_cfg.s, t, total, tuple(levels))
 
 
 _HEADER_KEYS = ("p", "m", "dim", "count")

@@ -235,14 +235,19 @@ def sublattice_enumerate(spec: SubLatticeSpec, cfg: LatticeConfig) -> list:
     return [plattice_point_laurent(n, cfg) for n in sublattice_indices(spec, cfg)]
 
 
+def hankel_block(digits, m: int, d: int) -> tuple:
+    """m x d Hankel block [j][c] = digits[j + c] of a digit sequence holding
+    at least m + d - 1 entries."""
+    return tuple(tuple(digits[j : j + d]) for j in range(m))
+
+
 def digit_matrix(numerator: Poly, modulus: Poly, d: int) -> tuple:
     """m x d Hankel block [j][c] = a_{j+c+1} of {numerator/modulus}, m = deg
     modulus: column c holds the leading m digits of {X^c*numerator/modulus}."""
     m = modulus.degree
     if d == 0:
         return tuple(() for _ in range(m))
-    a = laurent_coeffs(numerator, modulus, m + d - 1)
-    return tuple(tuple(a[j + c] for c in range(d)) for j in range(m))
+    return hankel_block(laurent_coeffs(numerator, modulus, m + d - 1), m, d)
 
 
 def digit_images(matrix, shift, p: int) -> list:

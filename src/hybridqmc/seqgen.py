@@ -68,6 +68,17 @@ def identity_sigma(p, e: int) -> SigmaBijection:
     return SigmaBijection(p, e, tuple(range(p**e)))
 
 
+def _check_bases(p: int, bases: tuple):
+    for b in bases:
+        if b.p != p:
+            raise ValueError("base prime mismatch")
+        if not b.is_monic or b.degree < 1:
+            raise ValueError("bases must be monic and nonconstant")
+    for b1, b2 in itertools.combinations(bases, 2):
+        if poly_gcd(b1, b2).degree != 0:
+            raise ValueError("bases must be pairwise coprime")
+
+
 @dataclass(frozen=True)
 class HaltonConfig:
     """Monic pairwise-coprime nonconstant bases with one sigma per base."""
@@ -82,14 +93,7 @@ class HaltonConfig:
         object.__setattr__(self, "sigmas", tuple(self.sigmas))
         if len(self.sigmas) != len(self.bases):
             raise ValueError("one sigma per base required")
-        for b in self.bases:
-            if b.p != self.p:
-                raise ValueError("base prime mismatch")
-            if not b.is_monic or b.degree < 1:
-                raise ValueError("bases must be monic and nonconstant")
-        for b1, b2 in itertools.combinations(self.bases, 2):
-            if poly_gcd(b1, b2).degree != 0:
-                raise ValueError("bases must be pairwise coprime")
+        _check_bases(self.p, self.bases)
         for b, s in zip(self.bases, self.sigmas):
             if s.p != self.p or s.e != b.degree:
                 raise ValueError("sigma does not match its base")
@@ -99,6 +103,7 @@ class HaltonConfig:
         p = as_prime(p)
         bases = tuple(bases)
         if sigmas is None:
+            _check_bases(p, bases)  # a sigma needs a base of degree >= 1
             sigmas = tuple(identity_sigma(p, b.degree) for b in bases)
         return cls(p, bases, tuple(sigmas))
 

@@ -111,6 +111,9 @@ def suite_boxdecomp():
         ),
     )
     for label, cfg, n_limit in variants:
+        points = [
+            tuple(x.as_fraction() for x in halton_point(n, cfg)) for n in range(n_limit)
+        ]
         for levels in itertools.product(range(3), repeat=cfg.s):
             caps = [cfg.p ** (e * l) for e, l in zip(cfg.degrees, levels)]
             for numerators in itertools.product(*(range(1, c + 1) for c in caps)):
@@ -120,9 +123,8 @@ def suite_boxdecomp():
                     raise _Counterexample(
                         label, f"measure mismatch at levels={levels} v={numerators}"
                     )
-                for n in range(n_limit):
-                    point = halton_point(n, cfg)
-                    in_box = all(x.as_fraction() < b for x, b in zip(point, bounds))
+                for n, point in enumerate(points):
+                    in_box = all(x < b for x, b in zip(point, bounds))
                     hits = sum(1 for c in classes if c.contains(n))
                     if hits > 1:
                         raise _Counterexample(

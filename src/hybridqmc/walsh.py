@@ -8,7 +8,8 @@ is 1 / (p^(g+1) * sin(pi*K/p)^2), which is exactly 2^-(g+1) for p = 2
 and makes the closed-form total weight identity exact for every prime.
 The Walsh bound sums these weights over the dual of a sub-lattice from
 the sub-lattice's points, where the weighted Walsh series is rational,
-so bounds are exact rationals for every prime.
+so bounds are exact rationals for every prime; for one generator the
+sum over the points is read off the rank profile of their digit map.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from fractions import Fraction
 from .gfpoly import (
     BasePRational,
     Poly,
+    laurent_coeffs,
     poly_from_int,
     poly_is_irreducible,
     valuation,
@@ -32,7 +34,7 @@ from .plattice import (
     SubLatticeSpec,
     _check_sublattice,
     digit_images,
-    digit_matrix,
+    hankel_block,
     sublattice_enumerate,
     sublattice_matrices,
 )
@@ -241,19 +243,87 @@ def _scaled_phi(digits, p: int) -> int:
     return 3 * p + len(digits) * (p * p - 1)
 
 
+@functools.lru_cache(maxsize=1024)
+def _laurent_digits(cfg: LatticeConfig) -> tuple:
+    """The 2m - 1 leading Laurent digits (a_1, ..., a_{2m-1}) of each
+    q_i/pX: the digit map of every shape B of the lattice is read off them."""
+    return tuple(laurent_coeffs(q, cfg.modulus, 2 * cfg.m - 1) for q in cfg.generators)
+
+
+def _shape_maps(cfg: LatticeConfig, modulus: Poly) -> list:
+    """The m x (m - deg B) digit map of {B*q_i/pX} for each generator.  Its
+    digits are c_k = sum_j b_j a_{k+j} mod p, the convolution of B's
+    coefficients with the Laurent digits of q_i/pX."""
+    p, m = cfg.p, cfg.m
+    dmax = m - modulus.degree
+    length = m + dmax - 1
+    maps = []
+    for a in _laurent_digits(cfg):
+        digits = [0] * length
+        for j, b in enumerate(modulus.coeffs):
+            if b:
+                digits = [x + b * y for x, y in zip(digits, a[j : j + length])]
+        maps.append(hankel_block([x % p for x in digits], m, dmax))
+    return maps
+
+
+def _rank_profile_sums(rows, p: int, dmax: int) -> tuple:
+    """S_d = sum_l 3p*phi(M l) over l in GF(p)^d for every d = 0..dmax at
+    t = 1, from one elimination over the rows of M.
+
+    phi(x) = 1 + sum_g [x_1 = ... = x_g = 0] f(x_(g+1)) with f of mean zero
+    over GF(p) and f(0) = (p^2-1)/(3p).  On the kernel of rows 0..g-1 cut
+    to d columns, row g is 0 where it depends on them and uniform over
+    GF(p) where it does not, so
+    S_d = 3p*p^d + (p^2-1) sum_g [row g depends] p^(d - rank of rows < g).
+    Each reduced row keeps its pivot at its lowest nonzero column, so rows
+    0..g-1 cut to d columns have rank #{their pivots < d}, and row g
+    depends on them within d columns iff its own pivot is >= d (dmax for a
+    row that reduces to zero)."""
+    pivots = {}  # column -> reduced row with a 1 there and zeros before it
+    lows = []
+    for row in rows:
+        low = next((c for c, x in enumerate(row) if x), dmax)
+        while low in pivots:
+            a = row[low]
+            row = [(x - a * y) % p for x, y in zip(row, pivots[low])]
+            start, low = low + 1, dmax
+            for c in range(start, dmax):
+                if row[c]:
+                    low = c
+                    break
+        if low < dmax:
+            inverse = pow(row[low], -1, p)
+            pivots[low] = [x * inverse % p for x in row]
+        lows.append(low)
+    powers = [p**k for k in range(dmax + 1)]
+    sums = []
+    for d in range(dmax + 1):
+        dependent, rank = 0, 0
+        for low in lows:
+            if low < d:
+                rank += 1
+            else:
+                dependent += powers[d - rank]
+        sums.append(3 * p * powers[d] + (p * p - 1) * dependent)
+    return tuple(sums)
+
+
 @functools.lru_cache(maxsize=4096)
 def _shape_sums(cfg: LatticeConfig, modulus: Poly) -> tuple:
     """S_d = sum_l prod_i 3p*phi(x_i(l)) over the p^d points l*B, deg l < d,
-    for every d = 0..m - deg B: prefix sums of one digit-map pass at the
-    largest d, whose first p^d images (l_0 least significant) are those of
-    the degree-<d block.  Every caller needs all d (the certificate) or the
-    largest (u = m); a small d alone would still pay p^(m - deg B) images."""
+    for every d = 0..m - deg B.
+
+    At t = 1 every S_d comes from the rank profile of the one digit map.
+    At t >= 2 they are prefix sums of one digit-map pass at the largest d,
+    whose first p^d images (l_0 least significant) are those of the
+    degree-<d block; a small d alone would still pay p^(m - deg B) images."""
     p, dmax = cfg.p, cfg.m - modulus.degree
+    maps = _shape_maps(cfg, modulus)
+    if cfg.t == 1:
+        return _rank_profile_sums(maps[0], p, dmax)
     zero = (0,) * cfg.m
-    columns = [
-        digit_images(digit_matrix(modulus * q, cfg.modulus, dmax), zero, p)
-        for q in cfg.generators
-    ]
+    columns = [digit_images(matrix, zero, p) for matrix in maps]
     prefix = list(
         itertools.accumulate(
             math.prod(_scaled_phi(x, p) for x in point) for point in zip(*columns)

@@ -2,6 +2,7 @@
 the harness breaks here when a name it reads is renamed or changes shape."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,44 @@ def test_bench_traced_pass(workload):
     assert last["correct"] is True and last["failed"] == 0
     assert last["metrics"]["walsh.bound_calls"]["value"] > 0
     assert last["metrics"]["walsh.residue_tables"]["value"] == 0
+
+
+_COLD_CHECK = """
+import json, sys, tempfile
+sys.path.insert(0, "bench")
+import workloads
+from hybridqmc import discrepancy, walsh
+with tempfile.TemporaryDirectory() as workdir:
+    for workload in ("search-t1", "search-t2", "oracle", "verify"):
+        workloads.plan(workload, 0, workdir)
+sizes = {
+    f"{module.__name__}.{name}": value.cache_info().currsize
+    for module in (walsh, discrepancy)
+    for name, value in vars(module).items()
+    if hasattr(value, "cache_info") and value.__module__ == module.__name__
+}
+print(json.dumps(sizes))
+"""
+
+
+def test_workload_setup_leaves_caches_cold():
+    # building every workload's inputs must not warm a cache that the timed
+    # passes use; every lru_cache defined in walsh and discrepancy is checked
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_CHECK],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    sizes = json.loads(proc.stdout)
+    assert {
+        "hybridqmc.walsh._modulus_bound",
+        "hybridqmc.walsh._shape_sums",
+        "hybridqmc.walsh._laurent_digits",
+        "hybridqmc.walsh._combined_residues",
+        "hybridqmc.discrepancy._shape_table",
+    } <= set(sizes)
+    assert sizes == dict.fromkeys(sizes, 0)

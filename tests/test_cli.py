@@ -252,3 +252,18 @@ def test_disc_multi_dimensional_oracle(tmp_path, capsys):
     for mode in ("exact", "prefix"):
         code, out, err = run(capsys, "disc", mode, "--input", str(target), "--budget", "10")
         assert code == 3 and "budget" in err and not out
+
+
+@pytest.mark.parametrize("bases", ["0", "X,0", "1"])
+def test_bad_halton_base_is_a_precondition_error(capsys, bases):
+    # a zero base has no degree to build a sigma from; it fails like the
+    # constant base 1, before any sigma is built
+    commands = (
+        ("gen", "halton", "--p", "2", "--bases", bases, "--count", "4"),
+        ("gen", "hybrid", "--p", "2", "--px", "X^3+X+1", "--bases", bases, "--q", "X"),
+        ("disc", "certificate", "--p", "2", "--px", "X^3+X+1", "--bases", bases, "--q", "X"),
+        ("search", "exhaustive", "--p", "2", "--m", "3", "--bases", bases),
+    )
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "bases must be monic and nonconstant" in err and not out

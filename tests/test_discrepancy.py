@@ -1,5 +1,7 @@
 import itertools
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -302,6 +304,47 @@ def test_point_file_roundtrip(tmp_path):
     for row, orig in zip(loaded2.fractions, PointSetD(pts).fractions):
         for a, b in zip(row, orig):
             assert abs(a - b) <= Fraction(1, 10**12)
+
+
+@st.composite
+def _base_p_point_sets(draw, primes):
+    p = draw(st.sampled_from(primes))
+    digits = draw(st.integers(0, 6))
+    dim = draw(st.integers(1, 3))
+    coordinate = st.builds(
+        lambda num, exponent: BasePRational(p, num % p**exponent, exponent),
+        st.integers(0, p**digits),
+        st.integers(0, digits),
+    )
+    rows = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=8))
+    return p, digits, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(_base_p_point_sets((2, 3, 5)))
+def test_point_file_rational_round_trip(case):
+    p, _, rows = case
+    meta = {"p": p, "dim": len(rows[0]), "count": len(rows)}
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "points.txt")
+        save_point_set(path, rows, meta)
+        loaded, loaded_meta = load_point_set(path)
+    assert loaded_meta == meta
+    assert loaded.points == tuple(rows)
+    assert loaded.fractions == PointSetD(rows).fractions
+
+
+@settings(max_examples=100, deadline=None)
+@given(_base_p_point_sets((2, 5)), st.integers(0, 3))
+def test_point_file_decimal_round_trip(case, spare):
+    # a/p^L with p in {2, 5} has L decimal digits, so a precision of at
+    # least L digits writes every value exactly
+    p, digits, rows = case
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "points.txt")
+        save_point_set(path, rows, {"p": p}, fmt="decimal", precision=max(digits, 1) + spare)
+        loaded, _ = load_point_set(path)
+    assert loaded.fractions == PointSetD(rows).fractions
 
 
 def test_format_point_line_tokens():

@@ -120,6 +120,16 @@ def test_egcd_bezout_property(pair):
     assert (a % g).is_zero and (b % g).is_zero
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5)).flatmap(
+        lambda p: st.lists(st.integers(0, p - 1), max_size=12).map(lambda c: Poly(p, c))
+    )
+)
+def test_parse_format_round_trip(a):
+    assert poly_parse(poly_format(a), a.p) == a
+
+
 def test_irreducibility_examples():
     assert poly_is_irreducible(P("X^2+X+1"))
     assert not poly_is_irreducible(P("X^2+1"))

@@ -148,3 +148,29 @@ def test_negative_control_report():
     assert rep["anchorUnitPair"]["floorHolds"] in (True, False)
     assert rep["bestKorobov"]["merit"] <= max(s["merit"] for s in rep["shiftedFamily"])
     assert len(rep["shiftedFamily"]) == 7
+
+
+@pytest.mark.parametrize(
+    "m, best, merit, average, worst",
+    [
+        (9, "X^7+X^5+X^3+X^2+X", Fraction(7643, 64), Fraction(635741, 4088), Fraction(50527, 64)),
+        (
+            10,
+            "X^9+X^7+X^5+X^4+X^3+X^2+X+1",
+            Fraction(20087, 128),
+            Fraction(1704139, 8184),
+            Fraction(199871, 128),
+        ),
+    ],
+    ids=["m9", "m10"],
+)
+def test_exhaustive_t1_large_m(m, best, merit, average, worst):
+    # every candidate at p=2, base X, modulus irreducible_poly(2, m); the
+    # pinned values come from the image-pass Walsh sums, independent of the
+    # rank profile that now gives every t = 1 certificate
+    res = search_exhaustive(m, 1, HaltonConfig.make(2, (Poly.x(2),)), irreducible_poly(2, m))
+    assert len(res.reports) == 2**m - 1
+    assert res.best.candidate == (P(best),)
+    assert res.best.merit == merit
+    assert res.average == average
+    assert res.reports[-1].merit == worst

@@ -1,9 +1,12 @@
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hybridqmc.gfpoly import (
     BasePRational,
@@ -12,6 +15,7 @@ from hybridqmc.gfpoly import (
     irreducible_poly,
     poly_from_int,
     poly_gcd,
+    poly_is_irreducible,
     poly_parse,
     valuation,
 )
@@ -296,17 +300,48 @@ def test_dual_weight_sum_matches_frequency_enumeration():
     assert checks == 1896
 
 
-def _dual_weight_sum_per_level(cfg, modulus, d):
-    # reference: a digit map and a pass over the p^d images of its own for
-    # every level, where _shape_sums reads every level off one pass
+def _point_sum(cfg, modulus, d):
+    # reference: sum_l prod_i 3p*phi(x_i(l)) over the p^d points l*B, from a
+    # polynomial product, a digit map and a pass over its p^d images of its
+    # own for every level d
     p = cfg.p
     zero = (0,) * cfg.m
     columns = [
         digit_images(digit_matrix(modulus * q, cfg.modulus, d), zero, p)
         for q in cfg.generators
     ]
-    total = sum(math.prod(_scaled_phi(x, p) for x in point) for point in zip(*columns))
-    return Fraction(total, p**d * (3 * p) ** cfg.t) - 1
+    return sum(math.prod(_scaled_phi(x, p) for x in point) for point in zip(*columns))
+
+
+def _dual_weight_sum_per_level(cfg, modulus, d):
+    return Fraction(_point_sum(cfg, modulus, d), cfg.p**d * (3 * cfg.p) ** cfg.t) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducibles(p, m):
+    monics = (poly_from_int(p**m + low, p) for low in range(p**m))
+    return [f for f in monics if poly_is_irreducible(f)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shape_sums_match_point_sums(data):
+    # _shape_sums reads every level off one digit map built by convolution
+    # with the Laurent digits of q_i/pX: the rank profile at t = 1, one
+    # image pass at t >= 2
+    p = data.draw(st.sampled_from((2, 3, 5)), label="p")
+    m = data.draw(st.integers(1, 5), label="m")
+    t = data.draw(st.integers(1, 3), label="t")
+    pX = data.draw(st.sampled_from(_irreducibles(p, m)), label="pX")
+    qvec = data.draw(st.lists(st.integers(1, p**m - 1), min_size=t, max_size=t), label="q")
+    cfg = LatticeConfig(p, pX, tuple(poly_from_int(q, p) for q in qvec))
+    k = data.draw(st.integers(0, m), label="deg B")
+    B = poly_from_int(p**k + data.draw(st.integers(0, p**k - 1), label="B low"), p)
+    assume(B != pX)
+    sums = _shape_sums(cfg, B)
+    assert len(sums) == m - k + 1
+    for d, got in enumerate(sums):
+        assert got == _point_sum(cfg, B, d)
 
 
 @pytest.mark.parametrize(
