@@ -10,13 +10,14 @@ identical flags produce byte-identical output regardless of --workers.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .discrepancy import (
     BudgetExceededError,
     discrepancy_certificate,
-    format_point_line,
     load_point_set,
+    point_file_text,
     prefix_reduction_bound,
     star_discrepancy_1d,
     star_discrepancy_exact,
@@ -25,7 +26,7 @@ from .discrepancy import (
 from .gfpoly import ParseError, irreducible_poly, poly_parse
 from .plattice import LatticeConfig, korobov_qvec, plattice_point_laurent
 from .search import search_exhaustive, search_korobov
-from .seqgen import HaltonConfig, halton_point, hybrid_point, hybrid_point_set
+from .seqgen import HaltonConfig, halton_point, hybrid_point
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -129,55 +130,46 @@ def _lattice_cfg(args) -> LatticeConfig:
     return LatticeConfig(args.p, pX, qvec)
 
 
-def _emit(lines, output):
-    payload = "\n".join(lines) + "\n"
+def _emit(text: str, output):
     if output:
-        write_atomic(output, payload)
+        write_atomic(output, text)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
 
 
 def _cmd_gen(args) -> int:
     p = args.p
+    total = None  # Halton indices are unbounded
     if args.kind == "halton":
-        cfg = _halton_cfg(args)
-        if not cfg.bases:
+        halton = _halton_cfg(args)
+        if not halton.bases:
             raise ValueError("halton generation needs at least one base")
-        if args.n is not None:
-            indices = [args.n]
-        else:
-            count = args.count if args.count is not None else 1
-            if count < 1:
-                raise ValueError("count must be >= 1")
-            indices = range(count)
-        points = [halton_point(n, cfg) for n in indices]
-        meta = {"p": p, "dim": cfg.s, "count": len(points)}
+        point = functools.partial(halton_point, cfg=halton)
+        meta = {"p": p, "dim": halton.s}
     elif args.kind in ("plattice", "korobov"):
         lattice = _lattice_cfg(args)
         total = lattice.n_points
-        if args.n is not None:
-            indices = [args.n]
-        else:
-            count = args.count if args.count is not None else total
-            if not 1 <= count <= total:
-                raise ValueError(f"count outside [1, {total}]")
-            indices = range(count)
-        points = [plattice_point_laurent(n, lattice) for n in indices]
-        meta = {"p": p, "m": lattice.m, "dim": lattice.t, "count": len(points)}
+        point = functools.partial(plattice_point_laurent, cfg=lattice)
+        meta = {"p": p, "m": lattice.m, "dim": lattice.t}
     else:
         halton = _halton_cfg(args)
         lattice = _lattice_cfg(args)
-        m = lattice.m
-        if args.n is not None:
-            points = [hybrid_point(args.n, m, halton, lattice)]
-        else:
-            points = hybrid_point_set(m, halton, lattice, args.count)
-        meta = {"p": p, "m": m, "dim": 1 + halton.s + lattice.t, "count": len(points)}
-    lines = []
-    if args.n is None:
-        lines.extend(f"# {k}={v}" for k, v in meta.items())
-    lines.extend(format_point_line(pt, args.format, args.precision) for pt in points)
-    _emit(lines, args.output)
+        total = lattice.n_points
+        point = functools.partial(hybrid_point, m=lattice.m, cfg=halton, lattice=lattice)
+        meta = {"p": p, "m": lattice.m, "dim": 1 + halton.s + lattice.t}
+    if args.n is not None:
+        indices = [args.n]
+        meta = {}  # a single point is written without a header
+    else:
+        count = args.count if args.count is not None else total or 1
+        if total is None and count < 1:
+            raise ValueError("count must be >= 1")
+        if total is not None and not 1 <= count <= total:
+            raise ValueError(f"count outside [1, {total}]")
+        indices = range(count)
+        meta["count"] = count
+    points = [point(n) for n in indices]
+    _emit(point_file_text(points, meta, args.format, args.precision), args.output)
     return EXIT_OK
 
 
@@ -199,7 +191,7 @@ def _cmd_disc(args) -> int:
                     f"    j={','.join(map(str, sh.exponents)) or '-'} degB={sh.deg_modulus}"
                     f" d={sh.d} mult={sh.multiplicity} classBound={float(sh.class_bound):.12g}"
                 )
-        _emit(lines, None)
+        _emit("\n".join(lines) + "\n", None)
         return EXIT_OK
     if not args.input:
         raise _UsageError("--input is required for exact/prefix modes")
@@ -209,10 +201,9 @@ def _cmd_disc(args) -> int:
             value = star_discrepancy_1d(points)
         else:
             value = star_discrepancy_exact(points, budget=args.budget)
-        _emit([f"{value} (= {float(value):.12g})"], None)
-        return EXIT_OK
-    bound = prefix_reduction_bound(points, budget=args.budget)
-    _emit([f"{bound} (= {float(bound):.12g})"], None)
+    else:
+        value = prefix_reduction_bound(points, budget=args.budget)
+    _emit(f"{value} (= {float(value):.12g})\n", None)
     return EXIT_OK
 
 
@@ -224,7 +215,7 @@ def _cmd_search(args) -> int:
         raise ValueError("modulus degree must equal m")
     search = search_exhaustive if args.mode == "exhaustive" else search_korobov
     result = search(args.m, args.t, halton, pX, budget=args.budget)
-    _emit([result.to_json(top=args.top)], args.output)
+    _emit(result.to_json(top=args.top) + "\n", args.output)
     return EXIT_OK if result.existence_ok else EXIT_PRECONDITION
 
 

@@ -211,6 +211,14 @@ def superposition_bound(parts) -> Fraction:
     return total
 
 
+def prefix_discrepancies(points: PointSetD, budget: int | None = None) -> list:
+    """[c * D* of the first c points for c = 1..N], exact rationals."""
+    return [
+        count * star_discrepancy_exact(points.prefix(count), budget=budget)
+        for count in range(1, points.n + 1)
+    ]
+
+
 def prefix_reduction_bound(points: PointSetD, budget: int | None = None) -> Fraction:
     """max over prefixes of N~ * D* of the anchor-stripped projection, plus 1.
 
@@ -224,11 +232,7 @@ def prefix_reduction_bound(points: PointSetD, budget: int | None = None) -> Frac
     if points.dim < 2:
         raise ValueError("anchored sets need at least two coordinates")
     tail = points.project(range(1, points.dim))
-    best = Fraction(0)
-    for count in range(1, n + 1):
-        d = star_discrepancy_exact(tail.prefix(count), budget=budget)
-        best = max(best, count * d)
-    return best + 1
+    return max(prefix_discrepancies(tail, budget)) + 1
 
 
 @dataclass(frozen=True)
@@ -288,10 +292,15 @@ class Certificate:
 
 
 @functools.lru_cache(maxsize=64)
-def _shape_table(p: int, bases: tuple, m: int) -> tuple:
+def _shape_table(bases: tuple, pX: Poly) -> tuple:
     """Per level u = 1..m, one (exponents, deg B, multiplicity, modulus)
     per shape, the modulus prod b_i^(j_i) only where deg B <= u: the part
-    of a certificate that depends on the Halton bases alone."""
+    of a certificate that depends on the Halton bases and the lattice
+    modulus pX alone, which every base must be coprime to."""
+    for b in bases:
+        if poly_gcd(b, pX).degree != 0:
+            raise ValueError("Halton base shares a factor with the lattice modulus")
+    p, m = pX.p, pX.degree
     degrees = [b.degree for b in bases]
     moduli = {}  # shape exponents -> prod b_i^(j_i), built once per table
     levels = []
@@ -333,14 +342,11 @@ def discrepancy_certificate(
         raise ValueError("prime mismatch between Halton and lattice parts")
     if lattice_cfg.m != m:
         raise ValueError("lattice modulus degree must equal m")
-    for b in halton_cfg.bases:
-        if poly_gcd(b, lattice_cfg.modulus).degree != 0:
-            raise ValueError("Halton base shares a factor with the lattice modulus")
     t = lattice_cfg.t
     den = p**m * (3 * p) ** t
     levels = [LevelBreakdown(0, Fraction(1), ())]
     nums = [den]
-    for u, table in enumerate(_shape_table(p, halton_cfg.bases, m), start=1):
+    for u, table in enumerate(_shape_table(halton_cfg.bases, lattice_cfg.modulus), start=1):
         shapes = []
         num = halton_cfg.s * den
         for exps, deg_b, mult, modulus in table:
@@ -392,15 +398,17 @@ def format_point_line(point, fmt: str = "rational", precision: int = 12) -> str:
     return " ".join(tokens)
 
 
+def point_file_text(points, meta: dict, fmt: str = "rational", precision: int = 12) -> str:
+    """Header lines '# key=value' for the header keys in meta, then one
+    point per line."""
+    lines = [f"# {key}={meta[key]}" for key in _HEADER_KEYS if key in meta]
+    lines.extend(format_point_line(pt, fmt, precision) for pt in points)
+    return "\n".join(lines) + "\n"
+
+
 def save_point_set(path, points, meta: dict, fmt: str = "rational", precision: int = 12):
-    """Write header lines '# key=value' then one point per line, atomically."""
-    lines = []
-    for key in _HEADER_KEYS:
-        if key in meta:
-            lines.append(f"# {key}={meta[key]}")
-    for pt in points:
-        lines.append(format_point_line(pt, fmt, precision))
-    write_atomic(path, "\n".join(lines) + "\n")
+    """Write the point file text of points and meta atomically."""
+    write_atomic(path, point_file_text(points, meta, fmt, precision))
 
 
 def write_atomic(path, text: str):

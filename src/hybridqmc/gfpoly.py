@@ -262,35 +262,38 @@ def poly_egcd(a: Poly, b: Poly):
 
 
 def poly_pow_mod(base: Poly, exponent: int, modulus: Poly) -> Poly:
-    """base**exponent reduced mod modulus, by square and multiply."""
+    """base**exponent reduced mod modulus, by left-to-right square and
+    multiply."""
     if exponent < 0:
         raise ValueError("negative exponent")
-    result = Poly.one(base.p) % modulus
+    if exponent == 0:
+        return Poly.one(base.p) % modulus
     acc = base % modulus
-    e = exponent
-    while e:
-        if e & 1:
+    result = acc
+    for bit in bin(exponent)[3:]:  # the bits after the leading one
+        result = (result * result) % modulus
+        if bit == "1":
             result = (result * acc) % modulus
-        acc = (acc * acc) % modulus
-        e >>= 1
     return result
 
 
-def _monic_polys_of_degree(p: int, k: int):
-    # monic degree-k polynomials, ascending integer encoding of the low part
-    for low in range(p**k):
-        yield poly_from_int(low + p**k, p)
-
-
 def poly_is_irreducible(a: Poly) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(a)/2."""
+    """Ben-Or's test: a of degree d is irreducible iff gcd(X^(p^k) - X, a)
+    = 1 for every k <= d/2.  X^(p^k) - X is the product of the monic
+    irreducibles of degree dividing k, and a reducible a has an irreducible
+    factor of degree <= d/2; the cost is polynomial in d and log p."""
     d = a.degree
     if d < 1:
         raise ValueError("irreducibility is defined for nonconstant polynomials")
-    for k in range(1, d // 2 + 1):
-        for b in _monic_polys_of_degree(a.p, k):
-            if (a % b).is_zero:
-                return False
+    x = Poly.x(a.p)
+    power = x
+    for _ in range(d // 2):
+        power = poly_pow_mod(power, a.p, a)  # X^(p^k) mod a
+        r0, r1 = a, power - x
+        while not r1.is_zero:
+            r0, r1 = r1, r0 % r1
+        if r0.degree > 0:
+            return False
     return True
 
 

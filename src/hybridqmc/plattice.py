@@ -77,20 +77,25 @@ class LatticeConfig:
         return self.p**self.m
 
 
+def _digits_to_int(digits, base: int) -> int:
+    """The integer whose base-`base` digits, most significant first, are
+    `digits`."""
+    num = 0
+    for y in digits:
+        num = num * base + y
+    return num
+
+
 def plattice_point_laurent(n: int, cfg: LatticeConfig) -> tuple:
     """The n-th lattice point via truncated Laurent expansion of {n*q_i/pX}."""
     p, m = cfg.p, cfg.m
     if not 0 <= n < p**m:
         raise ValueError(f"index {n} outside [0, {p}^{m})")
     npoly = poly_from_int(n, p)
-    coords = []
-    for q in cfg.generators:
-        digits = laurent_coeffs(npoly * q, cfg.modulus, m)
-        num = 0
-        for d in digits:
-            num = num * p + d
-        coords.append(BasePRational(p, num, m))
-    return tuple(coords)
+    return tuple(
+        BasePRational(p, _digits_to_int(laurent_coeffs(npoly * q, cfg.modulus, m), p), m)
+        for q in cfg.generators
+    )
 
 
 @dataclass(frozen=True)
@@ -116,14 +121,9 @@ def build_generating_matrix(q_i: Poly, pX: Poly) -> GeneratingMatrix:
     """Hankel matrix from the (2m-1)-prefix of {q_i/pX}."""
     if not q_i.degree < pX.degree:
         raise ValueError("generator degree must be below modulus degree")
-    return GeneratingMatrix(q_i.p, digit_matrix(q_i, pX, pX.degree))
-
-
-def _digits_to_int(digits, p: int) -> int:
-    num = 0
-    for y in digits:
-        num = num * p + y
-    return num
+    m = pX.degree
+    digits = laurent_coeffs(q_i, pX, 2 * m - 1)
+    return GeneratingMatrix(q_i.p, digit_matrix(digits, Poly.one(q_i.p), m, m))
 
 
 def plattice_point_matrix(n: int, matrices) -> tuple:
@@ -235,19 +235,21 @@ def sublattice_enumerate(spec: SubLatticeSpec, cfg: LatticeConfig) -> list:
     return [plattice_point_laurent(n, cfg) for n in sublattice_indices(spec, cfg)]
 
 
-def hankel_block(digits, m: int, d: int) -> tuple:
-    """m x d Hankel block [j][c] = digits[j + c] of a digit sequence holding
-    at least m + d - 1 entries."""
-    return tuple(tuple(digits[j : j + d]) for j in range(m))
-
-
-def digit_matrix(numerator: Poly, modulus: Poly, d: int) -> tuple:
-    """m x d Hankel block [j][c] = a_{j+c+1} of {numerator/modulus}, m = deg
-    modulus: column c holds the leading m digits of {X^c*numerator/modulus}."""
-    m = modulus.degree
-    if d == 0:
-        return tuple(() for _ in range(m))
-    return hankel_block(laurent_coeffs(numerator, modulus, m + d - 1), m, d)
+def digit_matrix(digits, B: Poly, m: int, d: int) -> tuple:
+    """m x d Hankel block [j][c] = c_(j+c+1) of {B*q/pX}, read off the
+    leading Laurent digits (a_1, a_2, ...) of q/pX: c_k = sum_j b_j a_(k+j)
+    mod p, the convolution of B's coefficients with them.  Column c holds
+    the leading m digits of {X^c*B*q/pX}; the 2m - 1 digits of q/pX, with
+    m = deg pX, serve every d <= m - deg B."""
+    length = m + d - 1
+    if len(digits) < length + B.degree:
+        raise ValueError("too few Laurent digits for the digit map")
+    conv = [0] * length
+    for j, b in enumerate(B.coeffs):
+        if b:
+            conv = [x + b * y for x, y in zip(conv, digits[j : j + length])]
+    conv = [x % B.p for x in conv]
+    return tuple(tuple(conv[j : j + d]) for j in range(m))
 
 
 def digit_images(matrix, shift, p: int) -> list:
@@ -273,9 +275,13 @@ def sublattice_matrices(spec: SubLatticeSpec, cfg: LatticeConfig):
     """
     _check_sublattice(spec, cfg)
     B, R = spec.cls.modulus, spec.cls.residue
+    m = cfg.m
     n0 = spec.shift_poly.shift(spec.d) * B + R
-    matrices = tuple(digit_matrix(B * q, cfg.modulus, spec.d) for q in cfg.generators)
-    shifts = tuple(laurent_coeffs(n0 * q, cfg.modulus, cfg.m) for q in cfg.generators)
+    matrices = tuple(
+        digit_matrix(laurent_coeffs(q, cfg.modulus, 2 * m - 1), B, m, spec.d)
+        for q in cfg.generators
+    )
+    shifts = tuple(laurent_coeffs(n0 * q, cfg.modulus, m) for q in cfg.generators)
     return matrices, shifts
 
 

@@ -21,7 +21,7 @@ from .discrepancy import (
     Certificate,
     PointSetD,
     discrepancy_certificate,
-    star_discrepancy_exact,
+    prefix_discrepancies,
 )
 from .gfpoly import (
     Poly,
@@ -53,6 +53,21 @@ def _check_budget(space: int, budget: int | None, hint: str = ""):
 def nonzero_polys(p: int, m: int) -> list:
     """All nonzero polynomials of degree < m, ascending integer encoding."""
     return [poly_from_int(k, p) for k in range(1, p**m)]
+
+
+def _candidates(mode: str, t: int, pX: Poly, budget: int | None = None):
+    """Check the budget, then yield the candidate generator t-tuples for
+    modulus pX: every tuple of nonzero polynomials of degree < m
+    (exhaustive) or the power tuples (g, ..., g^t mod pX) (korobov)."""
+    p, m = pX.p, pX.degree
+    if mode == "exhaustive":
+        _check_budget((p**m - 1) ** t, budget, "; consider the Korobov search")
+        yield from itertools.product(nonzero_polys(p, m), repeat=t)
+    elif mode == "korobov":
+        _check_budget(p**m - 1, budget)
+        yield from (korobov_qvec(g, t, pX) for g in nonzero_polys(p, m))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -142,9 +157,7 @@ def search_exhaustive(
     m: int, t: int, halton_cfg: HaltonConfig, pX: Poly, budget: int | None = None
 ) -> SearchResult:
     """Certify every generator tuple in (nonzero degree < m)^t, sorted by merit."""
-    p = halton_cfg.p
-    _check_budget((p**m - 1) ** t, budget, "; consider the Korobov search")
-    candidates = itertools.product(nonzero_polys(p, m), repeat=t)
+    candidates = _candidates("exhaustive", t, pX, budget)
     return _certify_candidates("exhaustive", m, halton_cfg, pX, candidates)
 
 
@@ -152,9 +165,7 @@ def search_korobov(
     m: int, t: int, halton_cfg: HaltonConfig, pX: Poly, budget: int | None = None
 ) -> SearchResult:
     """Certify the power tuples (g, g^2, ..., g^t) for every nonzero g."""
-    p = halton_cfg.p
-    _check_budget(p**m - 1, budget)
-    candidates = (korobov_qvec(g, t, pX) for g in nonzero_polys(p, m))
+    candidates = _candidates("korobov", t, pX, budget)
     return _certify_candidates("korobov", m, halton_cfg, pX, candidates)
 
 
@@ -199,14 +210,10 @@ def dual_solution_counts(
     m = pX.degree
     d = _digit_freedom(modulus_b, pX, u)
     kpolys = [poly_from_int(k, p) for k in kvec]
-    if mode == "general":
-        candidates = itertools.product(nonzero_polys(p, m), repeat=t)
-    elif mode == "korobov":
-        candidates = (korobov_qvec(g, t, pX) for g in nonzero_polys(p, m))
-    else:
+    if mode not in ("general", "korobov"):
         raise ValueError(f"unknown mode {mode!r}")
     kernel = low = 0
-    for qvec in candidates:
+    for qvec in _candidates("exhaustive" if mode == "general" else mode, t, pX):
         acc = Poly.zero(p)
         for kp, q in zip(kpolys, qvec):
             acc = acc + kp * q
@@ -237,10 +244,9 @@ def average_bound_check(modulus_b: Poly, u: int, pX: Poly, t: int, budget: int |
     p = pX.p
     m = pX.degree
     d = _digit_freedom(modulus_b, pX, u)
-    _check_budget((p**m - 1) ** t, budget)
     total = Fraction(0)
     count = 0
-    for qvec in itertools.product(nonzero_polys(p, m), repeat=t):
+    for qvec in _candidates("exhaustive", t, pX, budget):
         cfg = LatticeConfig(p, pX, qvec)
         total += _modulus_bound(cfg, modulus_b, d)
         count += 1
@@ -281,15 +287,10 @@ def negative_control_report(m: int, pX: Poly, t: int = 2) -> dict:
                 "merit": float(cert.total),
             }
         )
-    pair = anchor_pair_set(m, pX)
-    best_pair = anchor_pair_set(m, pX, korobov.best.candidate[0])
-    worst = best_worst = Fraction(0)
-    worst_nn = 0
-    for nn in range(1, pair.n + 1):
-        val = nn * star_discrepancy_exact(pair.prefix(nn))
-        if val > worst:
-            worst, worst_nn = val, nn
-        best_worst = max(best_worst, nn * star_discrepancy_exact(best_pair.prefix(nn)))
+    pair = prefix_discrepancies(anchor_pair_set(m, pX))
+    worst = max(pair)
+    worst_nn = pair.index(worst) + 1
+    best_worst = max(prefix_discrepancies(anchor_pair_set(m, pX, korobov.best.candidate[0])))
     n_points = p**m
     return {
         "p": p,

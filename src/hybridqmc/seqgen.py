@@ -28,7 +28,7 @@ from .gfpoly import (
     poly_gcd,
     poly_to_int,
 )
-from .plattice import LatticeConfig, plattice_point_laurent
+from .plattice import LatticeConfig, _digits_to_int, plattice_point_laurent
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,7 @@ def radical_inverse_poly(n: int, base: Poly, sigma: SigmaBijection | None = None
     while not rem.is_zero:
         rem, digit = divmod(rem, base)
         values.append(sigma.table[poly_to_int(digit)])
-    num = 0
-    for v in values:
-        num = num * p**e + v
-    return BasePRational(p, num, e * len(values))
+    return BasePRational(p, _digits_to_int(values, p**e), e * len(values))
 
 
 def halton_point(n: int, cfg: HaltonConfig) -> tuple:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .discrepancy import (
     PointSetD,
     discrepancy_certificate,
+    prefix_discrepancies,
     prefix_reduction_bound,
     star_discrepancy_exact,
 )
@@ -343,8 +344,8 @@ def suite_certificate():
                 lattice_cfg = LatticeConfig(p, pX, (poly_from_int(q_enc, p),))
                 cert = discrepancy_certificate(m, halton_cfg, lattice_cfg)
                 points = PointSetD(hybrid_point_set(m, halton_cfg, lattice_cfg))
-                for nn in range(1, points.n + 1):
-                    exact = nn * star_discrepancy_exact(points.prefix(nn))
+                exacts = prefix_discrepancies(points)
+                for nn, exact in enumerate(exacts, start=1):
                     if exact > cert.total:
                         raise _Counterexample(
                             f"m={m} s={len(bases)}",
@@ -353,7 +354,7 @@ def suite_certificate():
                         )
                     yield
                 reduced = prefix_reduction_bound(points)
-                if points.n * star_discrepancy_exact(points) > reduced:
+                if exacts[-1] > reduced:
                     raise _Counterexample(
                         f"m={m} s={len(bases)}",
                         f"prefix reduction bound violated at q encoding {q_enc}",

@@ -34,7 +34,7 @@ from .plattice import (
     SubLatticeSpec,
     _check_sublattice,
     digit_images,
-    hankel_block,
+    digit_matrix,
     sublattice_enumerate,
     sublattice_matrices,
 )
@@ -250,23 +250,6 @@ def _laurent_digits(cfg: LatticeConfig) -> tuple:
     return tuple(laurent_coeffs(q, cfg.modulus, 2 * cfg.m - 1) for q in cfg.generators)
 
 
-def _shape_maps(cfg: LatticeConfig, modulus: Poly) -> list:
-    """The m x (m - deg B) digit map of {B*q_i/pX} for each generator.  Its
-    digits are c_k = sum_j b_j a_{k+j} mod p, the convolution of B's
-    coefficients with the Laurent digits of q_i/pX."""
-    p, m = cfg.p, cfg.m
-    dmax = m - modulus.degree
-    length = m + dmax - 1
-    maps = []
-    for a in _laurent_digits(cfg):
-        digits = [0] * length
-        for j, b in enumerate(modulus.coeffs):
-            if b:
-                digits = [x + b * y for x, y in zip(digits, a[j : j + length])]
-        maps.append(hankel_block([x % p for x in digits], m, dmax))
-    return maps
-
-
 def _rank_profile_sums(rows, p: int, dmax: int) -> tuple:
     """S_d = sum_l 3p*phi(M l) over l in GF(p)^d for every d = 0..dmax at
     t = 1, from one elimination over the rows of M.
@@ -318,11 +301,12 @@ def _shape_sums(cfg: LatticeConfig, modulus: Poly) -> tuple:
     At t >= 2 they are prefix sums of one digit-map pass at the largest d,
     whose first p^d images (l_0 least significant) are those of the
     degree-<d block; a small d alone would still pay p^(m - deg B) images."""
-    p, dmax = cfg.p, cfg.m - modulus.degree
-    maps = _shape_maps(cfg, modulus)
+    p, m = cfg.p, cfg.m
+    dmax = m - modulus.degree
+    maps = [digit_matrix(a, modulus, m, dmax) for a in _laurent_digits(cfg)]
     if cfg.t == 1:
         return _rank_profile_sums(maps[0], p, dmax)
-    zero = (0,) * cfg.m
+    zero = (0,) * m
     columns = [digit_images(matrix, zero, p) for matrix in maps]
     prefix = list(
         itertools.accumulate(

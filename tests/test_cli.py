@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -267,3 +271,57 @@ def test_bad_halton_base_is_a_precondition_error(capsys, bases):
     for argv in commands:
         code, out, err = run(capsys, *argv)
         assert code == 2 and "bases must be monic and nonconstant" in err and not out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("halton", "--bases", "X", "--count", "0"), "count must be >= 1"),
+        (("plattice", "--px", "X^4+X+1", "--q", "X", "--count", "17"), "count outside [1, 16]"),
+        (("korobov", "--px", "X^4+X+1", "--g", "X", "--t", "2", "--count", "0"), "count outside [1, 16]"),
+        (("hybrid", "--px", "X^4+X+1", "--bases", "X+1", "--q", "X", "--count", "17"), "count outside [1, 16]"),
+    ],
+)
+def test_gen_count_errors_write_nothing(tmp_path, capsys, argv, message):
+    # every gen kind checks its count on one path, before any point is built
+    target = tmp_path / "pts.txt"
+    code, out, err = run(capsys, "gen", *argv, "--p", "2", "--output", str(target))
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (
+            ("gen", "plattice", "--p", "2", "--px", "X^64+X^4+X^3+X+1", "--q", "X", "--count", "1"),
+            0,
+            "# p=2\n# m=64\n# dim=1\n# count=1\n0/18446744073709551616\n",
+        ),
+        (("search", "exhaustive", "--p", "2", "--m", "40"), 3, ""),
+    ],
+)
+def test_high_degree_modulus_in_bounded_time(argv, code, out):
+    # the irreducibility test of a modulus costs polynomial time in its
+    # degree; trial division needs up to 2^32 divisors here
+    proc = subprocess.run(
+        [sys.executable, "-m", "hybridqmc.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+
+
+def test_base_sharing_a_factor_with_the_modulus_is_a_precondition_error(capsys):
+    # the shape table checks every base against pX once per search
+    commands = (
+        ("disc", "certificate", "--p", "2", "--px", "X^3+X+1", "--bases", "X,X^3+X+1", "--q", "X"),
+        ("search", "exhaustive", "--p", "2", "--m", "3", "--px", "X^3+X+1", "--bases", "X^3+X+1"),
+        ("search", "korobov", "--p", "3", "--m", "2", "--t", "2", "--px", "X^2+1", "--bases", "X^2+1"),
+    )
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: Halton base shares a factor with the lattice modulus\n"

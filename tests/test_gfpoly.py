@@ -147,6 +147,36 @@ def test_irreducible_count_degree_4_p2():
     assert irreducible_poly(2, 4) == P("X^4+X+1")
 
 
+def _irreducible_by_trial_division(a):
+    # reference: no monic divisor of degree 1..deg(a)/2
+    p = a.p
+    for k in range(1, a.degree // 2 + 1):
+        for low in range(p**k):
+            if (a % poly_from_int(p**k + low, p)).is_zero:
+                return False
+    return True
+
+
+def test_irreducibility_matches_trial_division():
+    # every polynomial of degree 1..dmax with every nonzero leading coefficient
+    checked = 0
+    for p, dmax in ((2, 10), (3, 6), (5, 4), (7, 3)):
+        for d in range(1, dmax + 1):
+            for lead in range(1, p):
+                for low in range(p**d):
+                    a = poly_from_int(lead * p**d + low, p)
+                    assert poly_is_irreducible(a) == _irreducible_by_trial_division(a), a
+                    checked += 1
+    assert checked == 9744
+
+
+def test_irreducible_poly_high_degree():
+    # the smallest irreducible of degree 64 is the pentanomial of the
+    # GF(2^64) tables; trial division would need 2^32 divisors to confirm it
+    assert irreducible_poly(2, 64) == P("X^64+X^4+X^3+X+1")
+    assert not poly_is_irreducible(P("X^64+X^4+X^3+1"))
+
+
 def test_int_poly_bijection_examples():
     assert poly_from_int(6, 2) == P("X^2+X")
     assert poly_from_int(0, 3) == Poly.zero(3)

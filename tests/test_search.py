@@ -97,6 +97,16 @@ def test_dual_counts_examples():
         dual_solution_counts((0, 0), Poly.one(2), PX2, 2, 2, "general")
 
 
+def test_dual_counts_respect_the_search_budget(monkeypatch):
+    # 7^2 = 49 general candidates and 7 Korobov ones at p = 2, m = 3, t = 2
+    monkeypatch.setenv("HYBRIDQMC_SEARCH_BUDGET", "10")
+    with pytest.raises(BudgetExceededError, match="49 candidate tuples exceed budget 10"):
+        dual_solution_counts((1, 0), Poly.one(2), PX3, 2, 3, "general")
+    assert dual_solution_counts((1, 0), Poly.one(2), PX3, 2, 3, "korobov").kernel == 0
+    with pytest.raises(ValueError, match="unknown mode 'exhaustive'"):
+        dual_solution_counts((1, 0), Poly.one(2), PX3, 2, 3, "exhaustive")
+
+
 def test_dual_counts_consistency_split():
     # kernel + low_valuation = total dual membership, by definition split
     from hybridqmc.gfpoly import valuation

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hybridqmc.gfpoly import Poly, poly_parse
+from hybridqmc.gfpoly import Poly, poly_from_int, poly_gcd, poly_parse
 from hybridqmc.plattice import LatticeConfig
 from hybridqmc.seqgen import (
     HaltonConfig,
@@ -169,6 +171,41 @@ def test_box_grid_nondefault_sigma_p3():
     sig = SigmaBijection(3, 1, (0, 2, 1))
     cfg = HaltonConfig.make(3, (Poly.x(3),), (sig,))
     _check_box_grid(cfg, 2, 81)
+
+
+@st.composite
+def _halton_configs(draw):
+    # p in {2, 3}, one or two pairwise coprime monic bases of degree <= 2,
+    # each with a random sigma fixing 0
+    p = draw(st.sampled_from((2, 3)), label="p")
+    bases = []
+    for _ in range(draw(st.integers(1, 2), label="s")):
+        e = draw(st.integers(1, 2), label="e")
+        b = poly_from_int(p**e + draw(st.integers(0, p**e - 1), label="b low"), p)
+        assume(all(poly_gcd(b, other).degree == 0 for other in bases))
+        bases.append(b)
+    sigmas = [
+        SigmaBijection(p, b.degree, (0, *draw(st.permutations(range(1, p**b.degree)))))
+        for b in bases
+    ]
+    return HaltonConfig.make(p, bases, sigmas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=_halton_configs(), data=st.data())
+def test_box_membership_matches_one_class(cfg, data):
+    # the Halton point of n lies in the anchored box exactly when n lies in
+    # one of the box's residue classes
+    levels = [data.draw(st.integers(0, 3), label="level") for _ in cfg.bases]
+    caps = [cfg.p ** (e * l) for e, l in zip(cfg.degrees, levels)]
+    vs = [data.draw(st.integers(1, c), label="numerator") for c in caps]
+    n = data.draw(st.integers(0, cfg.p**12), label="n")
+    classes = box_to_residue_classes(cfg, levels, vs)
+    pt = halton_point(n, cfg)
+    in_box = all(x.as_fraction() < Fraction(v, c) for x, v, c in zip(pt, vs, caps))
+    hits = sum(1 for c in classes if c.contains(n))
+    assert hits <= 1
+    assert in_box == (hits == 1)
 
 
 def test_box_classes_disjoint_deeper():

@@ -13,6 +13,7 @@ from hybridqmc.gfpoly import (
     Poly,
     ResidueClass,
     irreducible_poly,
+    laurent_coeffs,
     poly_from_int,
     poly_gcd,
     poly_is_irreducible,
@@ -300,14 +301,39 @@ def test_dual_weight_sum_matches_frequency_enumeration():
     assert checks == 1896
 
 
+def _laurent_block(numerator, modulus, d):
+    # reference digit map: m x d Hankel block [j][c] = a_(j+c+1) of
+    # {numerator/modulus} by one Laurent division, m = deg modulus
+    m = modulus.degree
+    digits = laurent_coeffs(numerator, modulus, m + d - 1) if m + d > 1 else ()
+    return tuple(tuple(digits[j : j + d]) for j in range(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_digit_matrix_matches_laurent_division(data):
+    # the convolution of B with the 2m - 1 Laurent digits of q/pX gives the
+    # digit map of {B*q/pX} at every d <= m - deg B
+    p = data.draw(st.sampled_from((2, 3, 5)), label="p")
+    m = data.draw(st.integers(1, 6), label="m")
+    pX = poly_from_int(p**m + data.draw(st.integers(0, p**m - 1), label="pX low"), p)
+    q = poly_from_int(data.draw(st.integers(0, p**m - 1), label="q"), p)
+    k = data.draw(st.integers(0, m), label="deg B")
+    lead = data.draw(st.integers(1, p - 1), label="B lead")
+    B = poly_from_int(lead * p**k + data.draw(st.integers(0, p**k - 1), label="B low"), p)
+    digits = laurent_coeffs(q, pX, 2 * m - 1)
+    for d in range(m - k + 1):
+        assert digit_matrix(digits, B, m, d) == _laurent_block(B * q, pX, d)
+
+
 def _point_sum(cfg, modulus, d):
     # reference: sum_l prod_i 3p*phi(x_i(l)) over the p^d points l*B, from a
-    # polynomial product, a digit map and a pass over its p^d images of its
-    # own for every level d
+    # polynomial product, a digit map by Laurent division and a pass over its
+    # p^d images of its own for every level d
     p = cfg.p
     zero = (0,) * cfg.m
     columns = [
-        digit_images(digit_matrix(modulus * q, cfg.modulus, d), zero, p)
+        digit_images(_laurent_block(modulus * q, cfg.modulus, d), zero, p)
         for q in cfg.generators
     ]
     return sum(math.prod(_scaled_phi(x, p) for x in point) for point in zip(*columns))
