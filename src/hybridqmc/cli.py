@@ -17,7 +17,7 @@ from .discrepancy import (
     BudgetExceededError,
     discrepancy_certificate,
     load_point_set,
-    point_file_text,
+    point_file_lines,
     prefix_reduction_bound,
     star_discrepancy_1d,
     star_discrepancy_exact,
@@ -130,11 +130,12 @@ def _lattice_cfg(args) -> LatticeConfig:
     return LatticeConfig(args.p, pX, qvec)
 
 
-def _emit(text: str, output):
+def _emit(lines, output):
+    """Write an iterable of strings to the output file, or to stdout."""
     if output:
-        write_atomic(output, text)
+        write_atomic(output, lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _cmd_gen(args) -> int:
@@ -168,8 +169,8 @@ def _cmd_gen(args) -> int:
             raise ValueError(f"count outside [1, {total}]")
         indices = range(count)
         meta["count"] = count
-    points = [point(n) for n in indices]
-    _emit(point_file_text(points, meta, args.format, args.precision), args.output)
+    points = (point(n) for n in indices)
+    _emit(point_file_lines(points, meta, args.format, args.precision), args.output)
     return EXIT_OK
 
 
@@ -191,7 +192,7 @@ def _cmd_disc(args) -> int:
                     f"    j={','.join(map(str, sh.exponents)) or '-'} degB={sh.deg_modulus}"
                     f" d={sh.d} mult={sh.multiplicity} classBound={float(sh.class_bound):.12g}"
                 )
-        _emit("\n".join(lines) + "\n", None)
+        _emit(("\n".join(lines) + "\n",), None)
         return EXIT_OK
     if not args.input:
         raise _UsageError("--input is required for exact/prefix modes")
@@ -203,7 +204,7 @@ def _cmd_disc(args) -> int:
             value = star_discrepancy_exact(points, budget=args.budget)
     else:
         value = prefix_reduction_bound(points, budget=args.budget)
-    _emit(f"{value} (= {float(value):.12g})\n", None)
+    _emit((f"{value} (= {float(value):.12g})\n",), None)
     return EXIT_OK
 
 
@@ -215,7 +216,7 @@ def _cmd_search(args) -> int:
         raise ValueError("modulus degree must equal m")
     search = search_exhaustive if args.mode == "exhaustive" else search_korobov
     result = search(args.m, args.t, halton, pX, budget=args.budget)
-    _emit(result.to_json(top=args.top) + "\n", args.output)
+    _emit((result.to_json(top=args.top) + "\n",), args.output)
     return EXIT_OK if result.existence_ok else EXIT_PRECONDITION
 
 

@@ -44,14 +44,12 @@ def oracle_budget() -> int:
     return int(os.environ.get("HYBRIDQMC_ORACLE_BUDGET", DEFAULT_ORACLE_BUDGET))
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, BasePRational):
-        return x.as_fraction()
-    return Fraction(x)
-
-
 class PointSetD:
-    """A finite multiset of points in [0,1)^dim with exact coordinates."""
+    """A finite multiset of points in [0,1)^dim with exact coordinates.
+
+    points (alias fractions) holds one tuple of Fraction rows: a Fraction,
+    BasePRational included, is kept as given, anything else converted.
+    """
 
     def __init__(self, points):
         rows = [tuple(pt) for pt in points]
@@ -60,17 +58,13 @@ class PointSetD:
         dim = len(rows[0])
         if dim < 1:
             raise ValueError("points need at least one coordinate")
-        fracs = []
-        for pt in rows:
+        for i, pt in enumerate(rows):
             if len(pt) != dim:
                 raise ValueError("dimension mismatch")
-            row = tuple(_to_fraction(c) for c in pt)
-            for c in row:
-                if not 0 <= c < 1:
-                    raise ValueError("coordinates must lie in [0, 1)")
-            fracs.append(row)
-        self.points = tuple(rows)
-        self.fractions = tuple(fracs)
+            rows[i] = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt)
+            if not all(0 <= c < 1 for c in rows[i]):
+                raise ValueError("coordinates must lie in [0, 1)")
+        self.points = self.fractions = tuple(rows)
         self.dim = dim
         self.n = len(rows)
 
@@ -86,7 +80,7 @@ class PointSetD:
 
 def counting_function(points: PointSetD, corner) -> int:
     """Exact number of points inside the half-open box [0, corner)."""
-    corner = [_to_fraction(c) for c in corner]
+    corner = [Fraction(c) for c in corner]
     if len(corner) != points.dim:
         raise ValueError("dimension mismatch")
     for c in corner:
@@ -106,10 +100,12 @@ def _rescaled_columns(points: PointSetD, extra_candidates=None):
     extras = extra_candidates or [() for _ in range(points.dim)]
     for i in range(points.dim):
         col = [pt[i] for pt in points.fractions]
-        extra = [_to_fraction(e) for e in extras[i]]
+        extra = [Fraction(e) for e in extras[i]]
         d = lcm(*(c.denominator for c in col), *(e.denominator for e in extra), 1)
-        nums = [int(c * d) for c in col]
-        cand = sorted({*nums, d, *(int(e * d) for e in extra if 0 < e <= 1)})
+        nums = [c.numerator * (d // c.denominator) for c in col]
+        cand = sorted(
+            {*nums, d, *(e.numerator * (d // e.denominator) for e in extra if 0 < e <= 1)}
+        )
         denoms.append(d)
         numerators.append(nums)
         cands.append(cand)
@@ -389,35 +385,37 @@ def format_point_line(point, fmt: str = "rational", precision: int = 12) -> str:
             if isinstance(c, BasePRational):
                 tokens.append(c.token())
             else:
-                f = _to_fraction(c)
+                f = Fraction(c)
                 tokens.append(f"{f.numerator}/{f.denominator}")
         elif fmt == "decimal":
-            tokens.append(_decimal_token(_to_fraction(c), precision))
+            tokens.append(_decimal_token(Fraction(c), precision))
         else:
             raise ValueError(f"unknown format {fmt!r}")
     return " ".join(tokens)
 
 
-def point_file_text(points, meta: dict, fmt: str = "rational", precision: int = 12) -> str:
-    """Header lines '# key=value' for the header keys in meta, then one
-    point per line."""
-    lines = [f"# {key}={meta[key]}" for key in _HEADER_KEYS if key in meta]
-    lines.extend(format_point_line(pt, fmt, precision) for pt in points)
-    return "\n".join(lines) + "\n"
+def point_file_lines(points, meta: dict, fmt: str = "rational", precision: int = 12):
+    """Yield the header lines '# key=value' for the header keys in meta, then
+    one line per point, each ending in a newline; points is read lazily."""
+    for key in _HEADER_KEYS:
+        if key in meta:
+            yield f"# {key}={meta[key]}\n"
+    for pt in points:
+        yield format_point_line(pt, fmt, precision) + "\n"
 
 
 def save_point_set(path, points, meta: dict, fmt: str = "rational", precision: int = 12):
-    """Write the point file text of points and meta atomically."""
-    write_atomic(path, point_file_text(points, meta, fmt, precision))
+    """Write the point file lines of points and meta atomically."""
+    write_atomic(path, point_file_lines(points, meta, fmt, precision))
 
 
-def write_atomic(path, text: str):
-    """Write ASCII text to path through a fresh temporary file next to it,
-    renamed into place on success and removed on failure."""
+def write_atomic(path, lines):
+    """Write an iterable of ASCII strings to path through a fresh temporary
+    file next to it, renamed into place on success and removed on failure."""
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="ascii") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -7,7 +7,9 @@ sentinel NEG_INF (never the ordinary integer -1).  All values are
 immutable and all operations are exact.
 
 This module also holds the two small value types shared by the point
-constructions: BasePRational, an exact coordinate a/p^L in [0,1), and
+constructions: BasePRational, an exact coordinate a/p^L in [0,1) that is
+a Fraction keeping p and its digit count L, so every layer from point
+generation to the discrepancy oracle reads the one number type; and
 ResidueClass, a congruence constraint modulo a monic polynomial.
 """
 
@@ -493,37 +495,32 @@ def poly_format(a: Poly) -> str:
     return "+".join(parts)
 
 
-@functools.total_ordering
-class BasePRational:
-    """Exact coordinate numerator / p^L in [0, 1).
+class BasePRational(Fraction):
+    """Exact coordinate num / p^L in [0, 1): a Fraction that keeps the prime
+    p and the digit count L it was built with.
 
-    The exponent L is retained as constructed (it records the natural digit
-    resolution of the coordinate); equality and ordering compare values,
-    between two of them as the integers num * q^K and num' * p^L.  The hash
-    is the Fraction hash, so equal values hash alike as Fraction and int.
+    L records the natural digit resolution of the coordinate, so num need
+    not be coprime to p; arithmetic, comparison and hashing are Fraction's.
     """
 
     __slots__ = ("p", "num", "L")
 
-    def __init__(self, p, num: int, exponent: int):
+    def __new__(cls, p, num: int, exponent: int):
         p = as_prime(p)
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
         if not 0 <= num < p**exponent:
             raise ValueError(f"numerator {num} outside [0, {p}^{exponent})")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "L", exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BasePRational is immutable")
+        self = super().__new__(cls, num, p**exponent)
+        self.p, self.num, self.L = p, num, exponent
+        return self
 
     @classmethod
     def zero(cls, p) -> "BasePRational":
         return cls(p, 0, 0)
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.p**self.L)
+        return Fraction(self)
 
     def digit(self, j: int) -> int:
         """The j-th digit after the radix point (1-based); 0 beyond L."""
@@ -540,26 +537,6 @@ class BasePRational:
     def token(self) -> str:
         """File token: numerator slash the evaluated denominator p^L."""
         return f"{self.num}/{self.p ** self.L}"
-
-    def __float__(self) -> float:
-        return self.num / self.p**self.L
-
-    def __eq__(self, other):
-        if isinstance(other, BasePRational):
-            return self.num * other.p**other.L == other.num * self.p**self.L
-        if isinstance(other, (int, Fraction)):
-            return self.as_fraction() == other
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, BasePRational):
-            return self.num * other.p**other.L < other.num * self.p**self.L
-        if isinstance(other, (int, Fraction)):
-            return self.as_fraction() < other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.as_fraction())
 
     def __repr__(self):
         return f"BasePRational({self.token()})"

@@ -276,8 +276,9 @@ def negative_control_report(m: int, pX: Poly, t: int = 2) -> dict:
     halton0 = HaltonConfig.make(p, ())
     korobov = search_korobov(m, t, halton0, pX)
     shifted = []
-    for g in nonzero_polys(p, m):
-        qvec = (Poly.one(p),) + korobov_qvec(g, t - 1, pX) if t > 1 else (Poly.one(p),)
+    # at t = 1 the shifted family is the one tuple (1,), certified once
+    for g in nonzero_polys(p, m) if t > 1 else [Poly.one(p)]:
+        qvec = (Poly.one(p),) + (korobov_qvec(g, t - 1, pX) if t > 1 else ())
         cfg = LatticeConfig(p, pX, qvec)
         cert = discrepancy_certificate(m, halton0, cfg)
         shifted.append(

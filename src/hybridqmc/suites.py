@@ -38,7 +38,7 @@ from .plattice import (
     sublattice_affine,
     sublattice_enumerate,
 )
-from .search import average_bound_check, dual_solution_counts, nonzero_polys
+from .search import _candidates, average_bound_check, dual_solution_counts
 from .seqgen import (
     HaltonConfig,
     SigmaBijection,
@@ -112,9 +112,7 @@ def suite_boxdecomp():
         ),
     )
     for label, cfg, n_limit in variants:
-        points = [
-            tuple(x.as_fraction() for x in halton_point(n, cfg)) for n in range(n_limit)
-        ]
+        points = [halton_point(n, cfg) for n in range(n_limit)]
         for levels in itertools.product(range(3), repeat=cfg.s):
             caps = [cfg.p ** (e * l) for e, l in zip(cfg.degrees, levels)]
             for numerators in itertools.product(*(range(1, c + 1) for c in caps)):
@@ -150,7 +148,7 @@ def suite_walshbound():
     for m in range(2, 5):
         pX = irreducible_poly(p, m)
         for t in (1, 2):
-            for qvec in itertools.product(nonzero_polys(p, m), repeat=t):
+            for qvec in _candidates("exhaustive", t, pX):
                 cfg = LatticeConfig(p, pX, qvec)
                 for modulus in _coprime_moduli(moduli, pX):
                     for r_enc in range(p**modulus.degree):

@@ -16,6 +16,8 @@ from hybridqmc.discrepancy import (
     discrepancy_certificate,
     format_point_line,
     load_point_set,
+    point_file_lines,
+    prefix_discrepancies,
     prefix_reduction_bound,
     save_point_set,
     star_discrepancy_1d,
@@ -345,6 +347,44 @@ def test_point_file_decimal_round_trip(case, spare):
         save_point_set(path, rows, {"p": p}, fmt="decimal", precision=max(digits, 1) + spare)
         loaded, _ = load_point_set(path)
     assert loaded.fractions == PointSetD(rows).fractions
+
+
+@settings(max_examples=100, deadline=None)
+@given(_base_p_point_sets((2, 3, 5)))
+def test_oracle_reads_base_p_rows_as_their_fractions(case):
+    _, _, rows = case
+    base_p = PointSetD(rows)
+    plain = PointSetD([tuple(c.as_fraction() for c in row) for row in rows])
+    assert star_discrepancy_exact(base_p) == star_discrepancy_exact(plain)
+    assert prefix_discrepancies(base_p) == prefix_discrepancies(plain)
+
+
+def test_point_set_keeps_base_p_coordinates():
+    rows = [(BasePRational(3, n, 2), BasePRational(2, n % 4, 2)) for n in range(9)]
+    pts = PointSetD(rows)
+    assert pts.points is pts.fractions
+    assert all(pts.fractions[i][j] is rows[i][j] for i in range(9) for j in range(2))
+    assert pts.prefix(4).fractions[3][1] is rows[3][1]
+    assert pts.project([1]).fractions[5][0] is rows[5][1]
+
+
+def test_save_point_set_streams_points(tmp_path):
+    rows = [(BasePRational(2, n, 3), BasePRational(3, n, 2)) for n in range(8)]
+    pulled = []
+
+    def stream():
+        for row in rows:
+            pulled.append(row)
+            yield row
+
+    meta = {"p": 2, "count": len(rows)}
+    save_point_set(tmp_path / "list.txt", rows, meta)
+    save_point_set(tmp_path / "stream.txt", stream(), meta)
+    assert (tmp_path / "stream.txt").read_bytes() == (tmp_path / "list.txt").read_bytes()
+    pulled.clear()
+    lines = point_file_lines(stream(), meta)
+    assert [next(lines), next(lines)] == ["# p=2\n", "# count=8\n"] and not pulled
+    assert next(lines) == "0/8 0/9\n" and len(pulled) == 1
 
 
 def test_format_point_line_tokens():

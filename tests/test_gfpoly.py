@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -323,6 +324,8 @@ def test_base_p_rational_ordering_mixed():
             if a == b:
                 assert hash(a) == hash(b)
         assert a == a.as_fraction() and hash(a) == hash(a.as_fraction())
+        assert isinstance(a, Fraction) and type(a.as_fraction()) is Fraction
+        assert float(a) == float(a.as_fraction())
     assert [x.as_fraction() for x in sorted(values)] == sorted(x.as_fraction() for x in values)
     assert BasePRational(3, 0, 2) == 0 and hash(BasePRational(3, 0, 2)) == hash(0)
 

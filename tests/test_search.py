@@ -160,6 +160,11 @@ def test_negative_control_report():
     assert len(rep["shiftedFamily"]) == 7
 
 
+def test_negative_control_t1_certifies_the_unit_tuple_once():
+    rep = negative_control_report(3, PX3, t=1)
+    assert rep["shiftedFamily"] == [{"g": "1", "candidate": ["1"], "merit": 7.5}]
+
+
 @pytest.mark.parametrize(
     "m, best, merit, average, worst",
     [
