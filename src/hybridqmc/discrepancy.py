@@ -68,14 +68,24 @@ class PointSetD:
         self.dim = dim
         self.n = len(rows)
 
+    @classmethod
+    def _checked(cls, rows: tuple) -> "PointSetD":
+        """Rows cut from a checked set, kept without checking them again."""
+        self = cls.__new__(cls)
+        self.points = self.fractions = rows
+        self.dim, self.n = len(rows[0]), len(rows)
+        return self
+
     def project(self, keep) -> "PointSetD":
         keep = tuple(keep)
-        return PointSetD([tuple(pt[i] for i in keep) for pt in self.points])
+        if not keep:
+            raise ValueError("points need at least one coordinate")
+        return self._checked(tuple(tuple(pt[i] for i in keep) for pt in self.points))
 
     def prefix(self, count: int) -> "PointSetD":
         if not 1 <= count <= self.n:
             raise ValueError("bad prefix length")
-        return PointSetD(self.points[:count])
+        return self._checked(self.points[:count])
 
 
 def counting_function(points: PointSetD, corner) -> int:
@@ -208,11 +218,30 @@ def superposition_bound(parts) -> Fraction:
 
 
 def prefix_discrepancies(points: PointSetD, budget: int | None = None) -> list:
-    """[c * D* of the first c points for c = 1..N], exact rationals."""
-    return [
-        count * star_discrepancy_exact(points.prefix(count), budget=budget)
-        for count in range(1, points.n + 1)
-    ]
+    """[c * D* of the first c points for c = 1..N], exact rationals, from one
+    index-order sweep over the corner grid of the whole set, whose extra
+    corners cannot raise D*; the budget counts cells times N readouts."""
+    if points.dim > 4:
+        raise ValueError("exact oracle supports dimension <= 4")
+    budget = oracle_budget() if budget is None else budget
+    denoms, numerators, cands = _rescaled_columns(points)
+    cells = prod(len(c) for c in cands)
+    if points.n * cells > budget:
+        raise BudgetExceededError(f"{points.n} prefixes x {cells} cells exceed budget {budget}")
+    big_q = prod(denoms)
+    dtype = _np.int64 if points.n * big_q < 2**62 else object
+    vol = functools.reduce(_np.multiply.outer, (_np.array(c, dtype=dtype) for c in cands))
+    # closed counts times big_q behind a zero slab; open ones: shifted back one
+    counts = _np.zeros([len(c) + 1 for c in cands], dtype=dtype)
+    closed, opened = (slice(1, None),) * len(cands), (slice(None, -1),) * len(cands)
+    index = [{c: j for j, c in enumerate(cand)} for cand in cands]
+    scaled = []
+    for count, row in enumerate(zip(*numerators), start=1):
+        counts[tuple(slice(ix[x] + 1, None) for ix, x in zip(index, row))] += big_q
+        cvol = count * vol
+        worst = max(_np.max(counts[closed] - cvol), _np.max(cvol - counts[opened]), 0)
+        scaled.append(Fraction(int(worst), big_q))
+    return scaled
 
 
 def prefix_reduction_bound(points: PointSetD, budget: int | None = None) -> Fraction:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from hybridqmc.cli import main
+from hybridqmc.discrepancy import _rescaled_columns, load_point_set
 
 
 def run(capsys, *argv):
@@ -256,6 +257,24 @@ def test_disc_multi_dimensional_oracle(tmp_path, capsys):
     for mode in ("exact", "prefix"):
         code, out, err = run(capsys, "disc", mode, "--input", str(target), "--budget", "10")
         assert code == 3 and "budget" in err and not out
+
+
+def test_disc_prefix_budget_counts_tail_cells_times_points(tmp_path, capsys):
+    target = tmp_path / "pts.txt"
+    run(
+        capsys,
+        "gen", "hybrid", "--p", "2", "--px", "X^3+X+1", "--bases", "X", "--q", "X^2",
+        "--output", str(target),
+    )
+    points, _ = load_point_set(target)
+    _, _, cands = _rescaled_columns(points.project([1, 2]))
+    work = len(cands[0]) * len(cands[1]) * points.n
+    code, out, _ = run(capsys, "disc", "prefix", "--input", str(target), "--budget", str(work))
+    assert code == 0 and out == "109/32 (= 3.40625)\n"
+    code, out, err = run(
+        capsys, "disc", "prefix", "--input", str(target), "--budget", str(work - 1)
+    )
+    assert code == 3 and "budget" in err and not out
 
 
 @pytest.mark.parametrize("bases", ["0", "X,0", "1"])

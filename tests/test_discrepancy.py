@@ -3,6 +3,7 @@ import os
 import random
 import tempfile
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,60 @@ def test_superposition_dominates_union():
         union = PointSetD(a + b)
         lhs = union.n * star_discrepancy_exact(union)
         assert lhs <= superposition_bound([(len(a), da), (len(b), db)])
+
+
+def _prefix_discrepancies_reference(points):
+    """One oracle call per prefix: the reference the index-order sweep is
+    checked against."""
+    return [c * star_discrepancy_exact(points.prefix(c)) for c in range(1, points.n + 1)]
+
+
+@st.composite
+def _prefix_point_sets(draw):
+    # rows drawn from a small pool, so prefixes repeat points
+    dim = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[_coordinates] * dim), min_size=1, max_size=12))
+    return PointSetD(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20)))
+
+
+@st.composite
+def _huge_base_3_point_sets(draw):
+    # every coordinate has denominator 3^L, L > 20, so n * prod(denominators)
+    # >= 2^62 and the sweep takes exact Python-int arithmetic
+    digits = draw(st.integers(21, 40))
+    dim = draw(st.integers(2, 3))
+    coordinate = st.builds(
+        lambda k, r: BasePRational(3, 3 * k + r, digits),
+        st.integers(0, 3 ** (digits - 1) - 1),
+        st.integers(1, 2),
+    )
+    pool = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=8))
+    return PointSetD(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_prefix_point_sets())
+def test_prefix_sweep_matches_per_prefix_loop(pts):
+    assert prefix_discrepancies(pts) == _prefix_discrepancies_reference(pts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_huge_base_3_point_sets())
+def test_prefix_sweep_matches_per_prefix_loop_beyond_int64(pts):
+    denoms, _, _ = disc._rescaled_columns(pts)
+    assert pts.n * prod(denoms) >= 2**62
+    assert prefix_discrepancies(pts) == _prefix_discrepancies_reference(pts)
+
+
+def test_prefix_budget_counts_cells_times_points():
+    pts = PointSetD([(F(k, 8), F((3 * k) % 8, 8)) for k in range(8)])
+    # 8 distinct values plus 1 on each axis: 81 cells, read 8 times
+    work = 81 * 8
+    assert prefix_discrepancies(pts, budget=work) == _prefix_discrepancies_reference(pts)
+    with pytest.raises(BudgetExceededError):
+        prefix_discrepancies(pts, budget=work - 1)
+    with pytest.raises(ValueError):
+        prefix_discrepancies(PointSetD([(F(0),) * 5]))
 
 
 def test_prefix_reduction_examples():
