@@ -26,7 +26,7 @@ from .discrepancy import (
 from .gfpoly import ParseError, irreducible_poly, poly_parse
 from .plattice import LatticeConfig, korobov_qvec, plattice_point_laurent
 from .search import search_exhaustive, search_korobov
-from .seqgen import HaltonConfig, halton_point, hybrid_point
+from .seqgen import HaltonConfig, digital_points, halton_point, hybrid_point
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -139,37 +139,31 @@ def _emit(lines, output):
 
 
 def _cmd_gen(args) -> int:
-    p = args.p
-    total = None  # Halton indices are unbounded
-    if args.kind == "halton":
-        halton = _halton_cfg(args)
+    halton = _halton_cfg(args) if args.kind in ("halton", "hybrid") else None
+    lattice = _lattice_cfg(args) if args.kind != "halton" else None
+    if lattice is None:
         if not halton.bases:
             raise ValueError("halton generation needs at least one base")
         point = functools.partial(halton_point, cfg=halton)
-        meta = {"p": p, "dim": halton.s}
-    elif args.kind in ("plattice", "korobov"):
-        lattice = _lattice_cfg(args)
-        total = lattice.n_points
+        meta = {"p": args.p, "dim": halton.s}
+    elif halton is None:
         point = functools.partial(plattice_point_laurent, cfg=lattice)
-        meta = {"p": p, "m": lattice.m, "dim": lattice.t}
+        meta = {"p": args.p, "m": lattice.m, "dim": lattice.t}
     else:
-        halton = _halton_cfg(args)
-        lattice = _lattice_cfg(args)
-        total = lattice.n_points
         point = functools.partial(hybrid_point, m=lattice.m, cfg=halton, lattice=lattice)
-        meta = {"p": p, "m": lattice.m, "dim": 1 + halton.s + lattice.t}
+        meta = {"p": args.p, "m": lattice.m, "dim": 1 + halton.s + lattice.t}
     if args.n is not None:
-        indices = [args.n]
+        points = [point(args.n)]
         meta = {}  # a single point is written without a header
     else:
+        total = lattice.n_points if lattice else None  # Halton indices are unbounded
         count = args.count if args.count is not None else total or 1
         if total is None and count < 1:
             raise ValueError("count must be >= 1")
         if total is not None and not 1 <= count <= total:
             raise ValueError(f"count outside [1, {total}]")
-        indices = range(count)
+        points = digital_points(count, halton, lattice)
         meta["count"] = count
-    points = (point(n) for n in indices)
     _emit(point_file_lines(points, meta, args.format, args.precision), args.output)
     return EXIT_OK
 

@@ -70,7 +70,7 @@ class PointSetD:
 
     @classmethod
     def _checked(cls, rows: tuple) -> "PointSetD":
-        """Rows cut from a checked set, kept without checking them again."""
+        """Rows of Fractions in [0, 1), all of one length, kept as given."""
         self = cls.__new__(cls)
         self.points = self.fractions = rows
         self.dim, self.n = len(rows[0]), len(rows)
@@ -475,7 +475,9 @@ def load_point_set(path):
             )
     if not rows:
         raise ValueError(f"no points in {path}")
-    return PointSetD(rows), meta
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("dimension mismatch")
+    return PointSetD._checked(tuple(rows)), meta
 
 
 def _parse_header_value(key: str, text: str, line: str) -> int:
@@ -496,17 +498,13 @@ def _parse_coordinate(token: str, position: int, meta: dict):
             num, den = int(num_s), int(den_s)
             if den <= 0:
                 raise ValueError("denominator must be positive")
-            value = Fraction(num, den)
     except ValueError as exc:
         raise ParseError(f"bad coordinate {token!r}: {exc}", position) from None
-    if not 0 <= value < 1:
+    if not (0 <= num < den if slash else 0 <= value < 1):
         raise ParseError(f"coordinate {token} outside [0, 1)", position)
-    p = meta.get("p")
-    if slash and p:
-        exponent = 0
-        while den % p == 0:
-            den //= p
-            exponent += 1
-        if den == 1:
-            return BasePRational(p, num, exponent)
-    return value
+    if not slash:
+        return value
+    p, exponent, rest = meta.get("p"), 0, den
+    while p and rest % p == 0:
+        rest, exponent = rest // p, exponent + 1
+    return BasePRational(p, num, exponent) if p and rest == 1 else Fraction(num, den)

@@ -58,9 +58,11 @@ class PrimeModulus:
 
 def as_prime(p) -> int:
     """Coerce an int or PrimeModulus to a validated prime int."""
+    if type(p) is int and _is_prime(p):
+        return p
     if isinstance(p, PrimeModulus):
         return p.p
-    return PrimeModulus(p).p
+    return PrimeModulus(p).p  # any other value gets its check and error message
 
 
 class Poly:

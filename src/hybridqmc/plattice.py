@@ -63,6 +63,11 @@ class LatticeConfig:
                 raise ValueError("zero generator")
             if not q.degree < pX.degree:
                 raise ValueError("generator degree must be below modulus degree")
+        # every lru_cache keyed by a configuration hashes it on each lookup
+        object.__setattr__(self, "_hash", hash((self.p, self.modulus, self.generators)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def m(self) -> int:

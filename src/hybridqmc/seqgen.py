@@ -28,7 +28,7 @@ from .gfpoly import (
     poly_gcd,
     poly_to_int,
 )
-from .plattice import LatticeConfig, _digits_to_int, plattice_point_laurent
+from .plattice import LatticeConfig, _digits_to_int, build_generating_matrix, plattice_point_laurent
 
 
 @dataclass(frozen=True)
@@ -254,9 +254,54 @@ def hybrid_point(n: int, m: int, cfg: HaltonConfig, lattice: LatticeConfig) -> t
 
 def hybrid_point_set(m: int, cfg: HaltonConfig, lattice: LatticeConfig, count: int | None = None) -> list:
     """The first `count` hybrid points (default: all p^m)."""
-    total = cfg.p**m
-    if count is None:
-        count = total
-    if not 1 <= count <= total:
-        raise ValueError(f"count outside [1, {total}]")
-    return [hybrid_point(n, m, cfg, lattice) for n in range(count)]
+    if lattice.m != m:
+        raise ValueError("lattice modulus degree must equal m")
+    return list(digital_points(lattice.n_points if count is None else count, cfg, lattice))
+
+
+def digital_points(count: int, halton: HaltonConfig | None, lattice: LatticeConfig | None):
+    """Yield the points n = 0..count - 1 in index order: halton_point(n),
+    plattice_point_laurent(n), or hybrid_point(n, lattice.m) if both parts
+    are given.  Every coordinate is GF(p)-linear in the M base-p digits of
+    n (M those of count - 1): column c is column c of a generating matrix,
+    or the base-b digit blocks of X^c before sigma (Tezuka 1993).  From
+    n - 1 to n, digits 0..k, k = v_p(n), each gain 1 in GF(p): the digit
+    vector gains w_k = col_0 + ... + col_k.  State: O(M * dim) digits."""
+    p = (lattice or halton).p
+    if halton and lattice and halton.p != p:
+        raise ValueError("prime mismatch between Halton and lattice parts")
+    if lattice and not 1 <= count <= lattice.n_points:
+        raise ValueError(f"count outside [1, {lattice.n_points}]")
+    M = len(poly_from_int(max(count - 1, 0), p).coeffs)
+    columns = [[] for _ in range(M)]  # column c: the digit vector of n = p^c
+    readouts, size = [], 0  # (first digit, digits per block, table, fixed block count)
+    for b, sigma in zip(halton.bases, halton.sigmas) if halton else ():
+        e = b.degree
+        readouts.append((size, e, sigma.table, 0))
+        size += e * -(-M // e)
+        for c, column in enumerate(columns):
+            rem = poly_from_int(p**c, p)
+            while len(column) < size:  # a block's coefficients, highest degree first
+                rem, block = divmod(rem, b)
+                column.extend((0,) * (e - len(block.coeffs)) + block.coeffs[::-1])
+    for q in lattice.generators if lattice else ():
+        readouts.append((size, lattice.m, range(p**lattice.m), 1))
+        size += lattice.m
+        for column, image in zip(columns, zip(*build_generating_matrix(q, lattice.modulus).rows)):
+            column.extend(image)
+    steps = list(itertools.accumulate(columns, lambda w, c: [(a + b) % p for a, b in zip(w, c)]))
+    digits, deg = [0] * size, -1  # deg n(X) = -1 at n = 0: every Halton L is 0
+    for n in range(count):
+        if n:
+            k, rest = 0, n
+            while rest % p == 0:
+                k, rest = k + 1, rest // p
+            digits = [(a + b) % p for a, b in zip(digits, steps[k])]
+            deg = max(deg, k)
+        point = [BasePRational(p, n, lattice.m)] if halton and lattice else []
+        for start, e, table, fixed in readouts:
+            num, blocks = 0, fixed or deg // e + 1
+            for j in range(start, start + blocks * e, e):
+                num = num * p**e + table[_digits_to_int(digits[j : j + e], p)]
+            point.append(BasePRational(p, num, blocks * e))
+        yield tuple(point)

@@ -205,6 +205,14 @@ def test_bad_coordinate_is_a_parse_error(tmp_path, capsys, header, token):
     assert code == 1 and "parse error" in err and "position 4" in err and not out
 
 
+@pytest.mark.parametrize("header", ["# p=2\n", ""], ids=["p=2", "no-header"])
+def test_rows_of_unequal_length_are_a_precondition_error(tmp_path, capsys, header):
+    path = tmp_path / "pts.txt"
+    path.write_text(f"{header}0/2 1/2\n1/2\n")
+    code, out, err = run(capsys, "disc", "exact", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: dimension mismatch\n")
+
+
 @pytest.mark.parametrize("command", ["gen", "disc", "search"])
 def test_workers_help_says_it_has_no_effect(capsys, command):
     with pytest.raises(SystemExit):

@@ -12,6 +12,7 @@ from hybridqmc.gfpoly import (
     Poly,
     PrimeModulus,
     ResidueClass,
+    as_prime,
     irreducible_poly,
     laurent_coeffs,
     laurent_expand,
@@ -38,6 +39,21 @@ def test_prime_modulus_rejects_composites():
     for bad in (0, 1, 4, 9, 15):
         with pytest.raises(ValueError):
             PrimeModulus(bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1, 4, -3, 2.0, "2"])
+def test_as_prime_errors_match_prime_modulus(bad):
+    # the int fast path must not change what is accepted or what is said
+    with pytest.raises(ValueError) as expected:
+        PrimeModulus(bad)
+    with pytest.raises(ValueError) as got:
+        as_prime(bad)
+    assert str(got.value) == str(expected.value)
+
+
+def test_as_prime_accepts_primes_and_prime_moduli():
+    assert as_prime(7) == 7 and type(as_prime(7)) is int
+    assert as_prime(PrimeModulus(5)) == 5
 
 
 def test_divmod_examples():

@@ -33,6 +33,15 @@ def P(text, p=2):
 PX2 = P("X^2+X+1")
 
 
+def test_lattice_config_hash_is_the_field_hash():
+    # cached at construction; equal configurations hash and compare equal
+    a = LatticeConfig(2, PX2, (Poly.x(2),))
+    b = LatticeConfig(2, P("X^2+X+1"), [P("X")])
+    assert a == b and hash(a) == hash(b) == hash((2, PX2, (Poly.x(2),)))
+    assert a != LatticeConfig(2, PX2, (Poly.one(2),))
+    assert len({a, b, LatticeConfig(2, PX2, (Poly.one(2),))}) == 2
+
+
 def test_lattice_config_validation():
     with pytest.raises(ValueError, match="irreducible"):
         LatticeConfig(2, P("X^2+1"), (Poly.x(2),))

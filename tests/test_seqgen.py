@@ -1,17 +1,28 @@
+import functools
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hybridqmc.gfpoly import Poly, poly_from_int, poly_gcd, poly_parse
-from hybridqmc.plattice import LatticeConfig
+from hybridqmc.discrepancy import format_point_line
+from hybridqmc.gfpoly import (
+    Poly,
+    irreducible_poly,
+    poly_from_int,
+    poly_gcd,
+    poly_is_irreducible,
+    poly_parse,
+)
+from hybridqmc.plattice import LatticeConfig, plattice_point_laurent
 from hybridqmc.seqgen import (
     HaltonConfig,
     SigmaBijection,
     box_to_residue_classes,
+    digital_points,
     halton_point,
     hybrid_point,
     hybrid_point_set,
@@ -239,3 +250,81 @@ def test_hybrid_examples():
     with pytest.raises(ValueError):
         hybrid_point(4, 2, cfg, lat)
     assert len(hybrid_point_set(2, cfg, lat)) == 4
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducibles(p, m):
+    polys = (poly_from_int(p**m + low, p) for low in range(p**m))
+    return [f for f in polys if poly_is_irreducible(f)]
+
+
+@st.composite
+def _digital_configs(draw):
+    """(count, halton or None, lattice or None, reference point function):
+    p in {2, 3, 5}, bases of degree 1..3 with random sigmas, t in {1, 2}."""
+    p = draw(st.sampled_from((2, 3, 5)), label="p")
+    m = draw(st.integers(1, {2: 6, 3: 4, 5: 3}[p]), label="m")
+    pX = draw(st.sampled_from(_irreducibles(p, m)), label="pX")
+    t = draw(st.integers(1, 2), label="t")
+    gens = [poly_from_int(draw(st.integers(1, p**m - 1), label="q"), p) for _ in range(t)]
+    lattice = LatticeConfig(p, pX, gens)
+    bases = []
+    for _ in range(draw(st.integers(0, 2), label="s")):
+        e = draw(st.integers(1, 3), label="e")
+        b = poly_from_int(p**e + draw(st.integers(0, p**e - 1), label="b low"), p)
+        assume(all(poly_gcd(b, other).degree == 0 for other in bases))
+        bases.append(b)
+    sigmas = [
+        SigmaBijection(p, b.degree, (0, *draw(st.permutations(range(1, p**b.degree)))))
+        for b in bases
+    ]
+    halton = HaltonConfig.make(p, bases, sigmas)
+    count = draw(st.integers(1, p**m), label="count")
+    kind = draw(st.sampled_from(("halton", "plattice", "hybrid")), label="kind")
+    if kind == "halton":
+        assume(bases)
+        return count, halton, None, functools.partial(halton_point, cfg=halton)
+    if kind == "plattice":
+        return count, None, lattice, functools.partial(plattice_point_laurent, cfg=lattice)
+    return count, halton, lattice, functools.partial(hybrid_point, m=m, cfg=halton, lattice=lattice)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=_digital_configs())
+def test_digital_points_match_the_per_point_functions(config):
+    # the carry-vector generator against the per-point Poly arithmetic:
+    # equal rows, and equal file tokens (each token carries its L)
+    count, halton, lattice, point = config
+    rows = list(digital_points(count, halton, lattice))
+    expected = [point(n) for n in range(count)]
+    assert rows == expected
+    for fmt in ("rational", "decimal"):
+        assert [format_point_line(r, fmt) for r in rows] == [
+            format_point_line(r, fmt) for r in expected
+        ]
+
+
+def test_digital_points_are_lazy():
+    # the first points of a 2^20-point hybrid set, in O(digits * dim) memory
+    m = 20
+    halton = HaltonConfig.make(2, (P("X+1"), P("X^2+X+1")))
+    lattice = LatticeConfig(2, irreducible_poly(2, m), (P("X^7+X+1"), P("X^19+X^3")))
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(digital_points(2**m, halton, lattice), 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == [hybrid_point(n, m, halton, lattice) for n in range(10)]
+    assert peak < 2**20
+
+
+def test_digital_points_reject_a_count_past_the_lattice():
+    lattice = LatticeConfig(2, P("X^2+X+1"), (Poly.x(2),))
+    with pytest.raises(ValueError, match=r"count outside \[1, 4\]"):
+        next(digital_points(5, None, lattice))
+    with pytest.raises(ValueError, match="prime mismatch"):
+        next(digital_points(1, HaltonConfig.make(3, ()), lattice))
+    with pytest.raises(ValueError, match=r"count outside \[1, 4\]"):
+        next(digital_points(0, None, lattice))
+    assert list(digital_points(0, HaltonConfig.make(2, (Poly.x(2),)), None)) == []
