@@ -9,14 +9,11 @@ generator search.
 from .gfpoly import (
     NEG_INF,
     BasePRational,
-    LaurentPrefix,
     ParseError,
     Poly,
     PrimeModulus,
     ResidueClass,
     irreducible_poly,
-    laurent_expand,
-    poly_divmod,
     poly_egcd,
     poly_format,
     poly_from_int,

@@ -4,7 +4,9 @@ A polynomial c_0 + c_1*X + ... + c_d*X^d is stored as the tuple
 (c_0, ..., c_d) of residues in {0, ..., p-1} with no trailing zero
 entries; the zero polynomial is the empty tuple and its degree is the
 sentinel NEG_INF (never the ordinary integer -1).  All values are
-immutable and all operations are exact.
+immutable and all operations are exact.  One long-division kernel on
+coefficient tuples serves divmod, % and the Laurent digits, so none of
+them builds an intermediate polynomial.
 
 This module also holds the two small value types shared by the point
 constructions: BasePRational, an exact coordinate a/p^L in [0,1) that is
@@ -159,34 +161,15 @@ class Poly:
 
     def __divmod__(self, other: "Poly"):
         self._check_same_field(other)
-        if other.is_zero:
-            raise ZeroDivisionError("zero divisor")
-        p = self.p
-        db = len(other.coeffs) - 1
-        if len(self.coeffs) - 1 < db:
-            return Poly._raw(p, ()), self
-        inv_lead = pow(other.coeffs[-1], p - 2, p)
-        rem = list(self.coeffs)
-        q = [0] * (len(rem) - db)
-        b = other.coeffs
-        for i in range(len(rem) - db - 1, -1, -1):
-            c = rem[i + db]
-            if c:
-                f = (c * inv_lead) % p
-                q[i] = f
-                for j, bj in enumerate(b):
-                    rem[i + j] = (rem[i + j] - f * bj) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-        while q and q[-1] == 0:
-            q.pop()
-        return Poly._raw(p, tuple(q)), Poly._raw(p, tuple(rem))
+        q, r = _long_division(self.coeffs, other.coeffs, self.p, True)
+        return Poly._raw(self.p, q), Poly._raw(self.p, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        self._check_same_field(other)
+        return Poly._raw(self.p, _long_division(self.coeffs, other.coeffs, self.p, False)[1])
 
     def shift(self, k: int) -> "Poly":
         """Multiply by X^k (k >= 0)."""
@@ -229,9 +212,29 @@ class Poly:
         return f"Poly({self.p}, {poly_format(self)!r})"
 
 
-def poly_divmod(a: Poly, b: Poly):
-    """Euclidean division: a = q*b + r with deg(r) < deg(b)."""
-    return divmod(a, b)
+def _long_division(a: tuple, b: tuple, p: int, quotient: bool):
+    """The one long division over GF(p), on coefficient tuples: (q, r) with
+    a = q*b + r and deg r < deg b, both trailing-zero free; q is None unless
+    asked for.  Each step cancels the top term by construction, so only b's
+    lower terms are subtracted; a monic b needs no inverse."""
+    if not b:
+        raise ZeroDivisionError("zero divisor")
+    db = len(b) - 1
+    lead, low = b[-1], b[:-1]
+    inv = 1 if lead == 1 else pow(lead, p - 2, p)
+    rem = list(a)
+    q = [0] * (len(a) - db) if quotient else None
+    for i in range(len(a) - db - 1, -1, -1):
+        f = rem[i + db]
+        if f:
+            f = f * inv % p
+            if quotient:
+                q[i] = f
+            rem[i : i + db] = [(x - f * y) % p for x, y in zip(rem[i : i + db], low)]
+    del rem[db:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return (tuple(q) if quotient else None), tuple(rem)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -336,51 +339,23 @@ def poly_to_int(a: Poly) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class LaurentPrefix:
-    """First T coefficients (a_1, ..., a_T) of X^-1, ..., X^-T in an expansion."""
-
-    p: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) < 1:
-            raise ValueError("prefix length must be >= 1")
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def coeff(self, j: int) -> int:
-        """a_j, 1-based."""
-        return self.coeffs[j - 1]
-
-    def truncate(self, t: int) -> "LaurentPrefix":
-        if not 1 <= t <= len(self.coeffs):
-            raise ValueError("bad truncation length")
-        return LaurentPrefix(self.p, self.coeffs[:t])
-
-
 def laurent_coeffs(numerator: Poly, denominator: Poly, t: int) -> tuple:
-    """The tuple (a_1, ..., a_T) of the fractional part of numerator/denominator.
-
-    The numerator is reduced mod the denominator, then one long division of
-    r * X^T by the denominator yields the T leading expansion coefficients.
-    """
+    """The tuple (a_1, ..., a_T) of the fractional part of numerator/denominator:
+    the numerator is reduced mod the denominator to r, and one long division of
+    r * X^T by the denominator yields them, a_T its lowest coefficient."""
     if denominator.is_zero:
         raise ZeroDivisionError("zero divisor")
     if t < 1:
         raise ValueError("prefix length must be >= 1")
-    r = numerator % denominator
-    if r.is_zero:
+    if not isinstance(numerator, Poly):
+        raise TypeError(f"expected Poly, got {type(numerator).__name__}")
+    numerator._check_same_field(denominator)
+    b, p = denominator.coeffs, denominator.p
+    r = _long_division(numerator.coeffs, b, p, False)[1]
+    if not r:
         return (0,) * t
-    q, _ = divmod(r.shift(t), denominator)
-    qc = q.coeffs
-    return tuple(qc[t - j] if 0 <= t - j < len(qc) else 0 for j in range(1, t + 1))
-
-
-def laurent_expand(numerator: Poly, denominator: Poly, t: int) -> LaurentPrefix:
-    """Truncated Laurent expansion of the fractional part {numerator/denominator}."""
-    return LaurentPrefix(numerator.p, laurent_coeffs(numerator, denominator, t))
+    q = _long_division((0,) * t + r, b, p, True)[0]
+    return (0,) * (t - len(q)) + q[::-1]
 
 
 def valuation(numerator: Poly, denominator: Poly):
@@ -566,7 +541,7 @@ class ResidueClass:
     def contains(self, n) -> bool:
         """Membership of an integer (via its digit polynomial) or a Poly."""
         a = poly_from_int(n, self.modulus.p) if isinstance(n, int) else n
-        return ((a - self.residue) % self.modulus).is_zero
+        return a % self.modulus == self.residue
 
     def measure(self) -> Fraction:
         """Natural density p^(-deg modulus) of the class."""

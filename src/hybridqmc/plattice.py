@@ -16,6 +16,7 @@ carry an affine digit-map description (matrix columns plus a shift).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .gfpoly import (
@@ -224,12 +225,36 @@ def _check_sublattice(spec: SubLatticeSpec, cfg: LatticeConfig):
         raise ValueError("modulus shares factor with pX")
 
 
+def index_walk(columns, shift, count: int, p: int):
+    """Yield shift + sum_c n_c * columns[c] over GF(p) for n = 0..count - 1, n_c the
+    base-p digits of n.  From n - 1 to n, digits 0..k of n, k = v_p(n), each gain 1,
+    so the vector gains the step columns[0] + ... + columns[k]: one add per index."""
+    steps = list(itertools.accumulate(columns, lambda w, c: [(a + b) % p for a, b in zip(w, c)]))
+    vector = list(shift)
+    for n in range(count):
+        if n:
+            k, rest = 0, n
+            while rest % p == 0:
+                k, rest = k + 1, rest // p
+            vector = [(a + b) % p for a, b in zip(vector, steps[k])]
+        yield vector
+
+
+def _residue_digits(a: Poly, B: Poly) -> tuple:
+    """The deg B coefficients of a mod B, lowest first."""
+    r = (a % B).coeffs
+    return r + (0,) * (B.degree - len(r))
+
+
 def sublattice_indices(spec: SubLatticeSpec, cfg: LatticeConfig) -> list:
-    """Ascending indices n in the block with n(X) in the residue class."""
+    """Ascending indices n in the block with n(X) in the residue class: a walk
+    over the block in index order keeps the digits of n(X) - R mod B, all 0 there."""
     _check_sublattice(spec, cfg)
-    p = cfg.p
-    block = range(spec.block_start, spec.block_start + p**spec.u)
-    out = [n for n in block if spec.cls.contains(n)]
+    p, B, start = cfg.p, spec.cls.modulus, spec.block_start
+    columns = [_residue_digits(poly_from_int(p**c, p), B) for c in range(spec.u)]
+    shift = _residue_digits(poly_from_int(start, p) - spec.cls.residue, B)
+    walk = index_walk(columns, shift, p**spec.u, p)
+    out = [start + j for j, residue in enumerate(walk) if not any(residue)]
     if len(out) != p**spec.d:
         raise AssertionError("block/residue intersection has unexpected size")
     return out

@@ -262,7 +262,7 @@ def anchor_pair_set(m: int, pX: Poly, q: Poly | None = None) -> PointSetD:
     the unit generator by default."""
     p = pX.p
     cfg = LatticeConfig(p, pX, (Poly.one(p) if q is None else q,))
-    return PointSetD(hybrid_point_set(m, HaltonConfig.make(p, ()), cfg))
+    return PointSetD._checked(tuple(hybrid_point_set(m, HaltonConfig.make(p, ()), cfg)))
 
 
 def negative_control_report(m: int, pX: Poly, t: int = 2) -> dict:

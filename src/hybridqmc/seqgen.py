@@ -28,7 +28,13 @@ from .gfpoly import (
     poly_gcd,
     poly_to_int,
 )
-from .plattice import LatticeConfig, _digits_to_int, build_generating_matrix, plattice_point_laurent
+from .plattice import (
+    LatticeConfig,
+    _digits_to_int,
+    build_generating_matrix,
+    index_walk,
+    plattice_point_laurent,
+)
 
 
 @dataclass(frozen=True)
@@ -264,9 +270,9 @@ def digital_points(count: int, halton: HaltonConfig | None, lattice: LatticeConf
     plattice_point_laurent(n), or hybrid_point(n, lattice.m) if both parts
     are given.  Every coordinate is GF(p)-linear in the M base-p digits of
     n (M those of count - 1): column c is column c of a generating matrix,
-    or the base-b digit blocks of X^c before sigma (Tezuka 1993).  From
-    n - 1 to n, digits 0..k, k = v_p(n), each gain 1 in GF(p): the digit
-    vector gains w_k = col_0 + ... + col_k.  State: O(M * dim) digits."""
+    or the base-b digit blocks of X^c before sigma (Tezuka 1993), and
+    index_walk steps the digit vector with one GF(p) vector add per point.
+    State: O(M * dim) digits."""
     p = (lattice or halton).p
     if halton and lattice and halton.p != p:
         raise ValueError("prime mismatch between Halton and lattice parts")
@@ -289,15 +295,10 @@ def digital_points(count: int, halton: HaltonConfig | None, lattice: LatticeConf
         size += lattice.m
         for column, image in zip(columns, zip(*build_generating_matrix(q, lattice.modulus).rows)):
             column.extend(image)
-    steps = list(itertools.accumulate(columns, lambda w, c: [(a + b) % p for a, b in zip(w, c)]))
-    digits, deg = [0] * size, -1  # deg n(X) = -1 at n = 0: every Halton L is 0
-    for n in range(count):
-        if n:
-            k, rest = 0, n
-            while rest % p == 0:
-                k, rest = k + 1, rest // p
-            digits = [(a + b) % p for a, b in zip(digits, steps[k])]
-            deg = max(deg, k)
+    deg, power = -1, 1  # deg n(X) = -1 at n = 0: every Halton L is 0
+    for n, digits in enumerate(index_walk(columns, [0] * size, count, p)):
+        if n == power:
+            deg, power = deg + 1, power * p
         point = [BasePRational(p, n, lattice.m)] if halton and lattice else []
         for start, e, table, fixed in readouts:
             num, blocks = 0, fixed or deg // e + 1

@@ -342,7 +342,7 @@ def suite_certificate():
             for q_enc in range(1, p**m):
                 lattice_cfg = LatticeConfig(p, pX, (poly_from_int(q_enc, p),))
                 cert = discrepancy_certificate(m, halton_cfg, lattice_cfg)
-                points = PointSetD(hybrid_point_set(m, halton_cfg, lattice_cfg))
+                points = PointSetD._checked(tuple(hybrid_point_set(m, halton_cfg, lattice_cfg)))
                 hybrid = points.project(range(1, points.dim))
                 for nn, exact in enumerate(prefix_discrepancies(hybrid), start=1):
                     if exact > cert.total:

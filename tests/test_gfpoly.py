@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridqmc.gfpoly import (
@@ -15,8 +15,6 @@ from hybridqmc.gfpoly import (
     as_prime,
     irreducible_poly,
     laurent_coeffs,
-    laurent_expand,
-    poly_divmod,
     poly_egcd,
     poly_format,
     poly_from_int,
@@ -57,16 +55,16 @@ def test_as_prime_accepts_primes_and_prime_moduli():
 
 
 def test_divmod_examples():
-    q, r = poly_divmod(P("X^3+X+1"), P("X^2+1"))
+    q, r = divmod(P("X^3+X+1"), P("X^2+1"))
     assert (q, r) == (P("X"), P("1"))
-    assert poly_divmod(Poly.zero(2), Poly.x(2)) == (Poly.zero(2), Poly.zero(2))
-    q, r = poly_divmod(P("X^2+X+1"), Poly.one(2))
+    assert divmod(Poly.zero(2), Poly.x(2)) == (Poly.zero(2), Poly.zero(2))
+    q, r = divmod(P("X^2+X+1"), Poly.one(2))
     assert (q, r) == (P("X^2+X+1"), Poly.zero(2))
 
 
 def test_divmod_zero_divisor():
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
-        poly_divmod(P("X"), Poly.zero(2))
+        divmod(P("X"), Poly.zero(2))
 
 
 def test_divmod_identity_exhaustive_p2():
@@ -75,7 +73,7 @@ def test_divmod_identity_exhaustive_p2():
         for b in polys:
             if b.is_zero:
                 continue
-            q, r = poly_divmod(a, b)
+            q, r = divmod(a, b)
             assert q * b + r == a
             assert r.degree < b.degree
 
@@ -85,7 +83,7 @@ def test_divmod_identity_random_p3():
     for _ in range(2000):
         a = poly_from_int(rng.randrange(3**7), 3)
         b = poly_from_int(rng.randrange(1, 3**7), 3)
-        q, r = poly_divmod(a, b)
+        q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
 
@@ -230,8 +228,6 @@ def test_laurent_truncation_consistency():
         long = laurent_coeffs(num, den, 9)
         short = laurent_coeffs(num, den, 4)
         assert long[:4] == short
-        prefix = laurent_expand(num, den, 9)
-        assert prefix.truncate(4).coeffs == short
 
 
 def test_laurent_multiplication_check():
@@ -357,3 +353,51 @@ def test_residue_class():
         ResidueClass(P("X+1"), P("X"))  # residue degree too large
     with pytest.raises(ValueError):
         ResidueClass(Poly(3, (1, 2)), Poly.zero(3))  # not monic
+
+
+def _laurent_coeffs_reference(numerator, denominator, t):
+    # the two-step definition: reduce, then divide the shifted remainder as Polys
+    r = numerator % denominator
+    if r.is_zero:
+        return (0,) * t
+    q, _ = divmod(r.shift(t), denominator)
+    qc = q.coeffs
+    return tuple(qc[t - j] if 0 <= t - j < len(qc) else 0 for j in range(1, t + 1))
+
+
+@st.composite
+def _division_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    digit = st.integers(0, p - 1)
+    a = Poly(p, draw(st.lists(digit, max_size=10)))
+    lead = draw(st.integers(1, p - 1))  # any nonzero leading coefficient
+    b = Poly(p, draw(st.lists(digit, max_size=6)) + [lead])
+    return a, b, draw(st.integers(1, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@example((Poly(5, ()), Poly(5, (1, 3)), 4))  # zero dividend, non-monic divisor
+@example((Poly(7, (6, 2)), Poly(7, (1, 0, 0, 3)), 5))  # deg a < deg b
+@example((Poly(3, (2, 1, 2)), Poly(3, (2,)), 3))  # constant non-monic divisor
+@given(_division_cases())
+def test_long_division_kernel_property(case):
+    a, b, t = case
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+    assert a % b == r
+    assert laurent_coeffs(a, b, t) == _laurent_coeffs_reference(a, b, t)
+
+
+def test_division_errors():
+    a = Poly(3, (1, 2))
+    for divide in (divmod, lambda x, y: x % y, lambda x, y: laurent_coeffs(x, y, 3)):
+        with pytest.raises(ZeroDivisionError, match="zero divisor"):
+            divide(a, Poly.zero(3))
+        with pytest.raises(ValueError, match="mixed moduli 3 and 2"):
+            divide(a, Poly(2, (1, 1)))
+    for divide in (divmod, lambda x, y: x % y):
+        with pytest.raises(TypeError):
+            divide(a, 3)
+    with pytest.raises(TypeError):
+        laurent_coeffs(3, a, 3)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hybridqmc.gfpoly import (
     Poly,
@@ -12,6 +14,7 @@ from hybridqmc.gfpoly import (
     poly_gcd,
     poly_parse,
 )
+from hybridqmc import plattice
 from hybridqmc.plattice import (
     GeneratingMatrix,
     LatticeConfig,
@@ -222,3 +225,50 @@ def test_sublattice_cardinality_and_affine_agreement_random():
         assert len(pts) == p**spec.d
         _, _, affine = sublattice_affine(spec, cfg)
         assert sorted(pts) == sorted(affine)
+
+
+@st.composite
+def _block_specs(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    m = draw(st.integers(1, 5))
+    cfg = LatticeConfig(p, irreducible_poly(p, m), (Poly.one(p),))
+    u = draw(st.integers(0, m))
+    deg_b = draw(st.integers(0, u))
+    digits = st.lists(st.integers(0, p - 1), min_size=deg_b, max_size=deg_b)
+    modulus = Poly(p, draw(digits) + [1])
+    assume(poly_gcd(modulus, cfg.modulus).degree == 0)
+    start = draw(st.integers(0, p ** (m - u) - 1)) * p**u
+    return SubLatticeSpec(u, start, ResidueClass(modulus, Poly(p, draw(digits)))), cfg
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # B = 1: the whole block
+    (
+        SubLatticeSpec(2, 4, ResidueClass(Poly.one(2), Poly.zero(2))),
+        LatticeConfig(2, P("X^3+X+1"), (Poly.x(2),)),
+    )
+)
+@example(  # deg B = u: one index
+    (
+        SubLatticeSpec(2, 9, ResidueClass(P("X^2+1", 3), P("X+2", 3))),
+        LatticeConfig(3, irreducible_poly(3, 3), (Poly.one(3),)),
+    )
+)
+@given(_block_specs())
+def test_sublattice_indices_match_the_membership_filter(case):
+    spec, cfg = case
+    block = range(spec.block_start, spec.block_start + cfg.p**spec.u)
+    assert sublattice_indices(spec, cfg) == [n for n in block if spec.cls.contains(n)]
+
+
+def test_sublattice_enumerate_uses_nothing_from_the_affine_route(monkeypatch):
+    # the sublattice suite compares the two routes, so they must stay independent
+    def affine(*args, **kwargs):
+        raise AssertionError("the direct route read the affine route")
+
+    monkeypatch.setattr(plattice, "digit_matrix", affine)
+    monkeypatch.setattr(plattice, "sublattice_matrices", affine)
+    monkeypatch.setattr(SubLatticeSpec, "shift_poly", property(affine))
+    cfg = LatticeConfig(3, irreducible_poly(3, 3), (Poly.x(3), P("X^2+2", 3)))
+    spec = SubLatticeSpec(3, 0, ResidueClass(P("X+1", 3), P("2", 3)))
+    assert len(sublattice_enumerate(spec, cfg)) == 9
