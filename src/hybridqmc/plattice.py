@@ -26,7 +26,6 @@ from .gfpoly import (
     as_prime,
     laurent_coeffs,
     poly_from_int,
-    poly_gcd,
     poly_is_irreducible,
 )
 
@@ -39,7 +38,8 @@ def _irreducible_modulus(pX: Poly) -> bool:
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Modulus pX (monic, irreducible, degree m) and t nonzero generators."""
+    """Modulus pX (monic, irreducible, degree m) and t nonzero generators.
+    As pX is irreducible, a nonzero B is coprime to pX iff pX does not divide B."""
 
     p: int
     modulus: Poly
@@ -221,7 +221,8 @@ def _check_sublattice(spec: SubLatticeSpec, cfg: LatticeConfig):
         raise ValueError("block level exceeds modulus degree")
     if spec.block_start + cfg.p**spec.u > cfg.n_points:
         raise ValueError("block extends past the point set")
-    if poly_gcd(spec.cls.modulus, cfg.modulus).degree > 0:
+    # pX is irreducible (LatticeConfig), so B shares a factor with it iff pX | B
+    if (spec.cls.modulus % cfg.modulus).is_zero:
         raise ValueError("modulus shares factor with pX")
 
 

@@ -226,10 +226,17 @@ def _big_endian_digits(v: int, q: int, l: int) -> list:
     return digits
 
 
-def _crt_pair(b1: Poly, r1: Poly, b2: Poly, r2: Poly):
+@functools.lru_cache(maxsize=None)
+def _crt_coefficient(b1: Poly, b2: Poly) -> Poly:
+    """s with s * b1 = 1 mod b2; a box sweep meets only a few modulus pairs."""
     g, s, _ = poly_egcd(b1, b2)
     if g.degree != 0:
         raise ValueError("moduli are not coprime")
+    return s
+
+
+def _crt_pair(b1: Poly, r1: Poly, b2: Poly, r2: Poly):
+    s = _crt_coefficient(b1, b2)
     # r = r1 + b1 * (s * (r2 - r1)) mod b1*b2
     modulus = b1 * b2
     lift = (s * (r2 - r1)) % b2

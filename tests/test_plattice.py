@@ -12,6 +12,7 @@ from hybridqmc.gfpoly import (
     irreducible_poly,
     poly_from_int,
     poly_gcd,
+    poly_is_irreducible,
     poly_parse,
 )
 from hybridqmc import plattice
@@ -26,7 +27,9 @@ from hybridqmc.plattice import (
     sublattice_affine,
     sublattice_enumerate,
     sublattice_indices,
+    sublattice_matrices,
 )
+from hybridqmc.walsh import walsh_discrepancy_bound
 
 
 def P(text, p=2):
@@ -159,6 +162,39 @@ def test_sublattice_rejects_shared_factor():
     bad = SubLatticeSpec(3, 0, ResidueClass(P("X^3+X+1"), Poly.zero(2)))
     with pytest.raises(ValueError, match="shares factor"):
         sublattice_enumerate(bad, cfg3)
+
+
+@st.composite
+def _irreducible_and_nonzero(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    m = draw(st.integers(1, 5))
+    low = draw(st.integers(0, p**m - 1))
+    candidates = (poly_from_int(p**m + (low + k) % p**m, p) for k in range(p**m))
+    pX = next(f for f in candidates if poly_is_irreducible(f))  # the first from low on
+    # B = c * pX + r runs over every polynomial of degree <= m + 1 exactly once
+    digit = st.integers(0, p - 1)
+    c, r = (Poly(p, draw(st.lists(digit, max_size=size))) for size in (2, m))
+    B = c * pX + r
+    assume(not B.is_zero)
+    return pX, B
+
+
+@settings(max_examples=300, deadline=None)
+@example((P("X^2+X+1"), P("X^3+1")))  # pX | B with B != pX
+@example((P("X^2+X+1"), P("X^3+X")))  # B coprime to pX, deg B = m + 1
+@given(_irreducible_and_nonzero())
+def test_coprime_to_an_irreducible_modulus_iff_not_divisible(case):
+    # _check_sublattice and the suites test coprimality by this rule
+    pX, B = case
+    assert (B % pX).is_zero == (poly_gcd(B, pX).degree > 0)
+
+
+@pytest.mark.parametrize("route", [sublattice_matrices, walsh_discrepancy_bound])
+def test_every_sublattice_route_rejects_shared_factor(route):
+    pX = irreducible_poly(3, 3)
+    cfg = LatticeConfig(3, pX, (Poly.one(3), Poly.x(3)))
+    with pytest.raises(ValueError, match="shares factor"):
+        route(SubLatticeSpec(3, 0, ResidueClass(pX, Poly.zero(3))), cfg)
 
 
 def test_sublattice_spec_validation():

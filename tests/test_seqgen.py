@@ -18,6 +18,7 @@ from hybridqmc.gfpoly import (
     poly_parse,
 )
 from hybridqmc.plattice import LatticeConfig, plattice_point_laurent
+from hybridqmc import seqgen
 from hybridqmc.seqgen import (
     HaltonConfig,
     SigmaBijection,
@@ -217,6 +218,35 @@ def test_box_membership_matches_one_class(cfg, data):
     hits = sum(1 for c in classes if c.contains(n))
     assert hits <= 1
     assert in_box == (hits == 1)
+
+
+@st.composite
+def _crt_cases(draw):
+    p = draw(st.sampled_from((2, 3)))
+    moduli = []
+    for _ in range(2):
+        e = draw(st.integers(1, 4))
+        moduli.append(poly_from_int(p**e + draw(st.integers(0, p**e - 1)), p))
+    assume(poly_gcd(*moduli).degree == 0)
+    residues = [poly_from_int(draw(st.integers(0, p**b.degree - 1)), p) for b in moduli]
+    return moduli, residues
+
+
+@settings(max_examples=200, deadline=None)
+@given(_crt_cases())
+def test_crt_pair_solves_both_congruences(case):
+    (b1, b2), (r1, r2) = case
+    modulus, r = seqgen._crt_pair(b1, r1, b2, r2)
+    assert modulus == b1 * b2
+    assert r.degree < modulus.degree
+    assert ((r - r1) % b1).is_zero and ((r - r2) % b2).is_zero
+
+
+def test_crt_pair_rejects_non_coprime_moduli_on_every_call():
+    # the Bezout coefficient is cached per modulus pair; the error is not
+    for _ in range(2):
+        with pytest.raises(ValueError, match="moduli are not coprime"):
+            seqgen._crt_pair(P("X^2+X"), P("1"), P("X+1"), P("0"))
 
 
 def test_box_classes_disjoint_deeper():

@@ -57,6 +57,16 @@ def _direct_off(orig):
     return lambda p, m, t, mode: orig(p, m, t, mode) + (mode == "direct")
 
 
+def _first_point_duplicated(orig):
+    # as many points as the true route, but the first replaced by a copy of
+    # the last: the count still matches, the multiset differs once p^d >= 2
+    def affine(spec, cfg):
+        matrices, shifts, points = orig(spec, cfg)
+        return matrices, shifts, [points[-1], *points[1:]]
+
+    return affine
+
+
 # (suite, {dependency: factory of its faulty stand-in from the original},
 #  (passed, checks, detail, counterexample))
 CASES = {
@@ -127,6 +137,14 @@ CASES = {
         (False, 0, "affine agreement", (
             "mismatch at p=3 m=2 spec=SubLatticeSpec(u=2, block_start=0, "
             "cls=ResidueClass(modulus=Poly(3, 'X^2+2'), residue=Poly(3, 'X+1')))"
+        )),
+    ),
+    "sublattice-affine-multiplicity": (
+        "sublattice",
+        {"sublattice_affine": _first_point_duplicated},
+        (False, 1, "affine agreement", (
+            "mismatch at p=2 m=5 spec=SubLatticeSpec(u=5, block_start=0, "
+            "cls=ResidueClass(modulus=Poly(2, 'X+1'), residue=Poly(2, '1')))"
         )),
     ),
     "averaging": (
