@@ -210,7 +210,7 @@ def box_to_residue_classes(cfg: HaltonConfig, levels, numerators) -> list:
         modulus, residue = combo[0]
         for b2, r2 in combo[1:]:
             modulus, residue = _crt_pair(modulus, residue, b2, r2)
-        classes.append(ResidueClass(modulus, residue % modulus))
+        classes.append(ResidueClass(modulus, residue))
     classes.sort(key=_class_sort_key)
     return classes
 
@@ -237,10 +237,9 @@ def _crt_coefficient(b1: Poly, b2: Poly) -> Poly:
 
 def _crt_pair(b1: Poly, r1: Poly, b2: Poly, r2: Poly):
     s = _crt_coefficient(b1, b2)
-    # r = r1 + b1 * (s * (r2 - r1)) mod b1*b2
-    modulus = b1 * b2
+    # r1 + b1 * (s * (r2 - r1) mod b2) is reduced mod b1*b2 when r1 is mod b1
     lift = (s * (r2 - r1)) % b2
-    return modulus, (r1 + b1 * lift) % modulus
+    return b1 * b2, r1 + b1 * lift
 
 
 def _class_sort_key(c: ResidueClass):

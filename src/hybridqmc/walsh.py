@@ -8,8 +8,9 @@ is 1 / (p^(g+1) * sin(pi*K/p)^2), which is exactly 2^-(g+1) for p = 2
 and makes the closed-form total weight identity exact for every prime.
 The Walsh bound sums these weights over the dual of a sub-lattice from
 the sub-lattice's points, where the weighted Walsh series is rational,
-so bounds are exact rationals for every prime; for one generator the
-sum over the points is read off the rank profile of their digit map.
+so bounds are exact rationals for every prime.  As {l*B*q/pX} =
+{l*(B*q mod pX)/pX}, a shape's sum is the rank profile of that residue
+for one generator, and reads one unit-group table per modulus for more.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,14 +29,14 @@ from .gfpoly import (
     laurent_coeffs,
     poly_from_int,
     poly_is_irreducible,
+    poly_pow_mod,
+    poly_to_int,
     valuation,
 )
 from .plattice import (
     LatticeConfig,
     SubLatticeSpec,
     _check_sublattice,
-    digit_images,
-    digit_matrix,
     sublattice_enumerate,
     sublattice_matrices,
 )
@@ -243,16 +245,55 @@ def _scaled_phi(digits, p: int) -> int:
     return 3 * p + len(digits) * (p * p - 1)
 
 
-@functools.lru_cache(maxsize=1024)
-def _laurent_digits(cfg: LatticeConfig) -> tuple:
-    """The 2m - 1 leading Laurent digits (a_1, ..., a_{2m-1}) of each
-    q_i/pX: the digit map of every shape B of the lattice is read off them."""
-    return tuple(laurent_coeffs(q, cfg.modulus, 2 * cfg.m - 1) for q in cfg.generators)
+@functools.lru_cache(maxsize=16)
+def _unit_group(pX: Poly) -> tuple:
+    """(log, F) of the cyclic unit group of GF(p)[X]/pX, N = p^m - 1, for a
+    primitive g: log[enc r] = k for r = g^k (log[0] is None), and F[k] =
+    F[k + N] = 3p*phi(m leading Laurent digits of g^k/pX), so log a + log b
+    indexes F with no % N.  X is walked on integer lists in O(p^m * m) steps,
+    once per coset of <X>: the residue shifts up less top * pX's low part,
+    and the digits of any y/pX obey a_(k+m) = -sum_(i<m) low_i a_(k+i).  If
+    X is not primitive, g passes the order test, the cosets start at g^j,
+    j < c = N / ord X, and g^c = X^s on the walk from 1 gives log X."""
+    p, m = pX.p, pX.degree
+    n, low, powers = p**m - 1, pX.coeffs[:-1], [p**j for j in range(m)]
+
+    def walk(start):  # (enc, 3p*phi) of start * X^i until it is back at start
+        residue = [*start.coeffs, *[0] * (m - len(start.coeffs))]
+        digits = list(laurent_coeffs(start, pX, m))
+        first = code = poly_to_int(start)
+        while True:
+            window = digits[-m:]
+            yield code, _scaled_phi(window, p)
+            top = residue[-1]
+            residue = [(x - top * c) % p for x, c in zip([0, *residue[:-1]], low)]
+            digits.append(-sum(map(operator.mul, low, window)) % p)
+            code = sum(map(operator.mul, residue, powers))
+            if code in (first, 0):  # 0: X is no unit when pX = X
+                return
+
+    one = Poly.one(p)
+    cycle = list(walk(one))
+    cosets, g, step = n // len(cycle), Poly.x(p), 1
+    if cosets > 1:
+        primes = [f for f in range(2, n + 1) if n % f == 0 and all(f % k for k in range(2, f))]
+        candidates = (poly_from_int(c, p) for c in range(2, n + 1))
+        g = next(a for a in candidates if all(poly_pow_mod(a, n // f, pX) != one for f in primes))
+        s = [code for code, _ in cycle].index(poly_to_int(poly_pow_mod(g, cosets, pX)))
+        step = cosets * pow(s, -1, len(cycle)) % n
+    log, F, start = [None] * (n + 1), [0] * n, one
+    for j in range(cosets):
+        for i, (code, phi) in enumerate(walk(start) if j else cycle):
+            log[code] = k = (j + i * step) % n
+            F[k] = phi
+        start = start * g % pX
+    return log, F + F
 
 
-def _rank_profile_sums(rows, p: int, dmax: int) -> tuple:
-    """S_d = sum_l 3p*phi(M l) over l in GF(p)^d for every d = 0..dmax at
-    t = 1, from one elimination over the rows of M.
+@functools.lru_cache(maxsize=4096)
+def _rank_profile(pX: Poly, r: Poly) -> tuple:
+    """S_d = sum_l 3p*phi(M l) over l in GF(p)^d for every d = 0..m, M the
+    m x m Hankel map of {r/pX}, from one elimination over its rows.
 
     phi(x) = 1 + sum_g [x_1 = ... = x_g = 0] f(x_(g+1)) with f of mean zero
     over GF(p) and f(0) = (p^2-1)/(3p).  On the kernel of rows 0..g-1 cut
@@ -261,27 +302,28 @@ def _rank_profile_sums(rows, p: int, dmax: int) -> tuple:
     S_d = 3p*p^d + (p^2-1) sum_g [row g depends] p^(d - rank of rows < g).
     Each reduced row keeps its pivot at its lowest nonzero column, so rows
     0..g-1 cut to d columns have rank #{their pivots < d}, and row g
-    depends on them within d columns iff its own pivot is >= d (dmax for a
-    row that reduces to zero)."""
-    pivots = {}  # column -> reduced row with a 1 there and zeros before it
-    lows = []
-    for row in rows:
-        low = next((c for c, x in enumerate(row) if x), dmax)
-        while low in pivots:
-            a = row[low]
-            row = [(x - a * y) % p for x, y in zip(row, pivots[low])]
-            start, low = low + 1, dmax
-            for c in range(start, dmax):
-                if row[c]:
+    depends on them within d columns iff its own pivot is >= d (m for a
+    row that reduces to zero).  A pivot at column c changes only columns
+    >= c, so the m x d map of {r/pX} has this profile's first d + 1 sums."""
+    p, m = pX.p, pX.degree
+    digits = laurent_coeffs(r, pX, 2 * m - 1)
+    pivots, lows = {}, []  # pivots: column -> reduced row, 1 there and 0 before it
+    for j in range(m):
+        row, low = digits[j : j + m], m
+        for c in range(m):
+            if row[c]:
+                if c not in pivots:
                     low = c
                     break
-        if low < dmax:
+                a = row[c]
+                row = [(x - a * y) % p for x, y in zip(row, pivots[c])]
+        if low < m:
             inverse = pow(row[low], -1, p)
             pivots[low] = [x * inverse % p for x in row]
         lows.append(low)
-    powers = [p**k for k in range(dmax + 1)]
+    powers = [p**k for k in range(m + 1)]
     sums = []
-    for d in range(dmax + 1):
+    for d in range(m + 1):
         dependent, rank = 0, 0
         for low in lows:
             if low < d:
@@ -295,24 +337,23 @@ def _rank_profile_sums(rows, p: int, dmax: int) -> tuple:
 @functools.lru_cache(maxsize=4096)
 def _shape_sums(cfg: LatticeConfig, modulus: Poly) -> tuple:
     """S_d = sum_l prod_i 3p*phi(x_i(l)) over the p^d points l*B, deg l < d,
-    for every d = 0..m - deg B.
-
-    At t = 1 every S_d comes from the rank profile of the one digit map.
-    At t >= 2 they are prefix sums of one digit-map pass at the largest d,
-    whose first p^d images (l_0 least significant) are those of the
-    degree-<d block; a small d alone would still pay p^(m - deg B) images."""
-    p, m = cfg.p, cfg.m
-    dmax = m - modulus.degree
-    maps = [digit_matrix(a, modulus, m, dmax) for a in _laurent_digits(cfg)]
+    for every d = 0..m - deg B.  As {l*B*q_i/pX} = {l*r_i/pX} with
+    r_i = B*q_i mod pX, S_d depends on r_i alone: at t = 1 it is read off
+    r_1's rank profile; at t >= 2 the term of l is (3p + m(p^2-1))^t at
+    l = 0, then prod_i F[log l + log r_i] from pX's unit-group table for
+    l = 1, 2, ... in encoding order, whose first p^d are deg l < d."""
+    p, pX, dmax = cfg.p, cfg.modulus, cfg.m - modulus.degree
+    b = (modulus * cfg.generators[0] if cfg.t == 1 else modulus) % pX  # r_1, or B mod pX
+    if b.is_zero:
+        raise ValueError("shape modulus is divisible by pX")
     if cfg.t == 1:
-        return _rank_profile_sums(maps[0], p, dmax)
-    zero = (0,) * m
-    columns = [digit_images(matrix, zero, p) for matrix in maps]
-    prefix = list(
-        itertools.accumulate(
-            math.prod(_scaled_phi(x, p) for x in point) for point in zip(*columns)
-        )
-    )
+        return _rank_profile(pX, b)[: dmax + 1]
+    log, F = _unit_group(pX)
+    logs, n = log[1 : p**dmax], len(F) // 2
+    shifts = [(log[poly_to_int(b)] + log[poly_to_int(q)]) % n for q in cfg.generators]
+    columns = (map(F.__getitem__, map(shift.__add__, logs)) for shift in shifts)
+    terms = functools.reduce(functools.partial(map, operator.mul), columns)
+    prefix = list(itertools.accumulate(terms, initial=(3 * p + cfg.m * (p * p - 1)) ** cfg.t))
     return tuple(prefix[p**d - 1] for d in range(dmax + 1))
 
 

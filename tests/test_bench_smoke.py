@@ -79,7 +79,8 @@ def test_workload_setup_leaves_caches_cold():
     assert {
         "hybridqmc.walsh._modulus_bound",
         "hybridqmc.walsh._shape_sums",
-        "hybridqmc.walsh._laurent_digits",
+        "hybridqmc.walsh._unit_group",
+        "hybridqmc.walsh._rank_profile",
         "hybridqmc.walsh._combined_residues",
         "hybridqmc.discrepancy._shape_table",
         "hybridqmc.seqgen._crt_coefficient",
