@@ -28,8 +28,8 @@ from math import lcm, prod
 
 import numpy as _np
 
-from .gfpoly import BasePRational, ParseError, Poly, as_prime, poly_gcd
-from .plattice import LatticeConfig
+from .gfpoly import BasePRational, ParseError, Poly, as_prime
+from .plattice import LatticeConfig, coprime_to_irreducible
 from .seqgen import HaltonConfig
 from .walsh import _modulus_bound
 
@@ -47,7 +47,7 @@ def oracle_budget() -> int:
 class PointSetD:
     """A finite multiset of points in [0,1)^dim with exact coordinates.
 
-    points (alias fractions) holds one tuple of Fraction rows: a Fraction,
+    fractions holds one tuple of Fraction rows: a Fraction,
     BasePRational included, is kept as given, anything else converted.
     """
 
@@ -64,7 +64,7 @@ class PointSetD:
             rows[i] = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt)
             if not all(0 <= c < 1 for c in rows[i]):
                 raise ValueError("coordinates must lie in [0, 1)")
-        self.points = self.fractions = tuple(rows)
+        self.fractions = tuple(rows)
         self.dim = dim
         self.n = len(rows)
 
@@ -72,7 +72,7 @@ class PointSetD:
     def _checked(cls, rows: tuple) -> "PointSetD":
         """Rows of Fractions in [0, 1), all of one length, kept as given."""
         self = cls.__new__(cls)
-        self.points = self.fractions = rows
+        self.fractions = rows
         self.dim, self.n = len(rows[0]), len(rows)
         return self
 
@@ -80,45 +80,27 @@ class PointSetD:
         keep = tuple(keep)
         if not keep:
             raise ValueError("points need at least one coordinate")
-        return self._checked(tuple(tuple(pt[i] for i in keep) for pt in self.points))
+        return self._checked(tuple(tuple(pt[i] for i in keep) for pt in self.fractions))
 
     def prefix(self, count: int) -> "PointSetD":
         if not 1 <= count <= self.n:
             raise ValueError("bad prefix length")
-        return self._checked(self.points[:count])
+        return self._checked(self.fractions[:count])
 
 
-def counting_function(points: PointSetD, corner) -> int:
-    """Exact number of points inside the half-open box [0, corner)."""
-    corner = [Fraction(c) for c in corner]
-    if len(corner) != points.dim:
-        raise ValueError("dimension mismatch")
-    for c in corner:
-        if not 0 < c <= 1:
-            raise ValueError("corner coordinates must lie in (0, 1]")
-    return sum(
-        1 for pt in points.fractions if all(x < c for x, c in zip(pt, corner))
-    )
-
-
-def _rescaled_columns(points: PointSetD, extra_candidates=None):
+def _rescaled_columns(points: PointSetD):
     """Per-dimension common denominators, point numerators, and candidate
-    corner numerators (distinct values plus 1, plus any extras)."""
+    corner numerators (distinct values plus 1)."""
     denoms = []
     numerators = []
     cands = []
-    extras = extra_candidates or [() for _ in range(points.dim)]
     for i in range(points.dim):
         col = [pt[i] for pt in points.fractions]
-        extra = [Fraction(e) for e in extras[i]]
-        d = lcm(*(c.denominator for c in col), *(e.denominator for e in extra), 1)
+        d = lcm(*(c.denominator for c in col))
         nums = [c.numerator * (d // c.denominator) for c in col]
-        cand = sorted(
-            {*nums, d, *(e.numerator * (d // e.denominator) for e in extra if 0 < e <= 1)}
-        )
         denoms.append(d)
         numerators.append(nums)
-        cands.append(cand)
+        cands.append(sorted({*nums, d}))
     return denoms, numerators, cands
 
 
@@ -134,17 +116,13 @@ def star_discrepancy_1d(points: PointSetD) -> Fraction:
     return best
 
 
-def star_discrepancy_exact(
-    points: PointSetD,
-    budget: int | None = None,
-    extra_candidates=None,
-) -> Fraction:
+def star_discrepancy_exact(points: PointSetD, budget: int | None = None) -> Fraction:
     """Exact D* over the critical-corner grid; exact rational result."""
     if points.dim > 4:
         raise ValueError("exact oracle supports dimension <= 4")
     if budget is None:
         budget = oracle_budget()
-    denoms, numerators, cands = _rescaled_columns(points, extra_candidates)
+    denoms, numerators, cands = _rescaled_columns(points)
     cells = 1
     for c in cands:
         cells *= len(c)
@@ -205,16 +183,6 @@ def _grid_extremes(n, denoms, numerators, cands):
             box += hist
         excess.append(_np.max(counts[closed] - vol))
     return int(max(excess)), int(max(deficit))
-
-
-def superposition_bound(parts) -> Fraction:
-    """sum N_i * D_i: discrepancy bound for a union of point sets."""
-    total = Fraction(0)
-    for n_i, d_i in parts:
-        if n_i < 1:
-            raise ValueError("part sizes must be >= 1")
-        total += n_i * d_i
-    return total
 
 
 def prefix_discrepancies(points: PointSetD, budget: int | None = None) -> list:
@@ -323,7 +291,7 @@ def _shape_table(bases: tuple, pX: Poly) -> tuple:
     of a certificate that depends on the Halton bases and the lattice
     modulus pX alone, which every base must be coprime to."""
     for b in bases:
-        if poly_gcd(b, pX).degree != 0:
+        if not coprime_to_irreducible(b, pX):
             raise ValueError("Halton base shares a factor with the lattice modulus")
     p, m = pX.p, pX.degree
     degrees = [b.degree for b in bases]

@@ -38,8 +38,7 @@ def _irreducible_modulus(pX: Poly) -> bool:
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Modulus pX (monic, irreducible, degree m) and t nonzero generators.
-    As pX is irreducible, a nonzero B is coprime to pX iff pX does not divide B."""
+    """Modulus pX (monic, irreducible, degree m) and t nonzero generators."""
 
     p: int
     modulus: Poly
@@ -214,6 +213,12 @@ class SubLatticeSpec:
         return k_base // Poly.x(p).shift(self.d - 1)
 
 
+def coprime_to_irreducible(B: Poly, pX: Poly) -> bool:
+    """B shares no factor with the irreducible pX iff pX does not divide B
+    (so B = 0 is not coprime)."""
+    return not (B % pX).is_zero
+
+
 def _check_sublattice(spec: SubLatticeSpec, cfg: LatticeConfig):
     if spec.p != cfg.p:
         raise ValueError("prime mismatch between spec and lattice")
@@ -221,8 +226,7 @@ def _check_sublattice(spec: SubLatticeSpec, cfg: LatticeConfig):
         raise ValueError("block level exceeds modulus degree")
     if spec.block_start + cfg.p**spec.u > cfg.n_points:
         raise ValueError("block extends past the point set")
-    # pX is irreducible (LatticeConfig), so B shares a factor with it iff pX | B
-    if (spec.cls.modulus % cfg.modulus).is_zero:
+    if not coprime_to_irreducible(spec.cls.modulus, cfg.modulus):
         raise ValueError("modulus shares factor with pX")
 
 
@@ -283,21 +287,6 @@ def digit_matrix(digits, B: Poly, m: int, d: int) -> tuple:
     return tuple(tuple(conv[j : j + d]) for j in range(m))
 
 
-def digit_images(matrix, shift, p: int) -> list:
-    """The digit vectors shift + matrix * l mod p for every l in GF(p)^d
-    (d = columns of the matrix), in ascending order of l read as a base-p
-    integer with l_0 least significant."""
-    images = [tuple(shift)]
-    for c in range(len(matrix[0])):
-        column = [row[c] for row in matrix]
-        images = [
-            tuple((y + k * a) % p for y, a in zip(image, column))
-            for k in range(p)
-            for image in images
-        ]
-    return images
-
-
 def sublattice_matrices(spec: SubLatticeSpec, cfg: LatticeConfig):
     """Affine digit map of the sub-lattice: (matrices, shifts).
 
@@ -317,12 +306,13 @@ def sublattice_matrices(spec: SubLatticeSpec, cfg: LatticeConfig):
 
 
 def sublattice_affine(spec: SubLatticeSpec, cfg: LatticeConfig):
-    """(matrices, shifts, points): the affine images over l = 0..p^d-1."""
+    """(matrices, shifts, points): the affine images shift + matrix * l over
+    l = 0..p^d-1, l's base-p digits as the vector, least significant first."""
     matrices, shifts = sublattice_matrices(spec, cfg)
-    p, m = cfg.p, cfg.m
-    columns = [digit_images(mat, shift, p) for mat, shift in zip(matrices, shifts)]
+    p, m, count = cfg.p, cfg.m, cfg.p**spec.d
+    walks = [index_walk(list(zip(*mat)), shift, count, p) for mat, shift in zip(matrices, shifts)]
     points = [
         tuple(BasePRational(p, _digits_to_int(x, p), m) for x in images)
-        for images in zip(*columns)
+        for images in zip(*walks)
     ]
     return matrices, shifts, points

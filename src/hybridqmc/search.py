@@ -26,11 +26,10 @@ from .discrepancy import (
 from .gfpoly import (
     Poly,
     poly_from_int,
-    poly_gcd,
     poly_to_int,
     valuation,
 )
-from .plattice import LatticeConfig, korobov_qvec
+from .plattice import LatticeConfig, coprime_to_irreducible, korobov_qvec
 from .seqgen import HaltonConfig, hybrid_point_set
 from .walsh import _modulus_bound, walsh_weight_total
 
@@ -183,8 +182,8 @@ class DualCounts:
 
 
 def _digit_freedom(modulus_b: Poly, pX: Poly, u: int) -> int:
-    """d = u - deg(B) for a nonzero B coprime to pX with deg(B) <= u <= m."""
-    if modulus_b.is_zero or poly_gcd(modulus_b, pX).degree != 0:
+    """d = u - deg(B) for a B coprime to the irreducible pX, deg(B) <= u <= m."""
+    if not coprime_to_irreducible(modulus_b, pX):
         raise ValueError("modulus shares factor with pX")
     if not modulus_b.degree <= u <= pX.degree:
         raise ValueError("need deg(B) <= u <= m")

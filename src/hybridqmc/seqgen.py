@@ -122,21 +122,6 @@ class HaltonConfig:
         return tuple(b.degree for b in self.bases)
 
 
-def radical_inverse_int(n: int, b: int) -> Fraction:
-    """Classic digit-reversal map: n written in base b, mirrored around the point."""
-    if b < 2:
-        raise ValueError("base must be >= 2")
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    value = Fraction(0)
-    scale = Fraction(1, b)
-    while n:
-        n, digit = divmod(n, b)
-        value += digit * scale
-        scale /= b
-    return value
-
-
 def radical_inverse_poly(n: int, base: Poly, sigma: SigmaBijection | None = None) -> BasePRational:
     """Polynomial radical inverse of n in the given monic base."""
     p = base.p

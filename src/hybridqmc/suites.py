@@ -34,6 +34,7 @@ from .gfpoly import (
 from .plattice import (
     LatticeConfig,
     SubLatticeSpec,
+    coprime_to_irreducible,
     sublattice_affine,
     sublattice_enumerate,
 )
@@ -81,7 +82,7 @@ class _Counterexample(Exception):
 
 def _coprime_moduli(moduli, pX: Poly) -> list:
     """The moduli of degree <= deg pX that share no factor with (irreducible) pX."""
-    return [b for b in moduli if b.degree <= pX.degree and not (b % pX).is_zero]
+    return [b for b in moduli if b.degree <= pX.degree and coprime_to_irreducible(b, pX)]
 
 
 def suite_boxdecomp():
@@ -220,7 +221,7 @@ def _random_sublattice(rng: random.Random, p: int, m: int, t: int):
         deg_b = rng.randrange(0, m + 1)
         enc = rng.randrange(p**deg_b, 2 * p**deg_b) if deg_b else 1
         modulus = poly_from_int(enc, p)
-        if not (modulus % pX).is_zero:  # pX is irreducible: coprime iff pX does not divide B
+        if coprime_to_irreducible(modulus, pX):
             break
     residue = poly_from_int(rng.randrange(p**deg_b), p) if deg_b else Poly.zero(p)
     u = rng.randrange(deg_b, m + 1)

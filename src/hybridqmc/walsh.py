@@ -2,7 +2,7 @@
 
 Character sums over a sub-lattice are held as exponent-count
 accumulators so the central zero-or-full dichotomy is decided in exact
-integer arithmetic; complex values only materialize for display.  The
+integer arithmetic, with no complex value formed.  The
 weight attached to a frequency k with leading base-p digit K at level g
 is 1 / (p^(g+1) * sin(pi*K/p)^2), which is exactly 2^-(g+1) for p = 2
 and makes the closed-form total weight identity exact for every prime.
@@ -15,7 +15,6 @@ for one generator, and reads one unit-group table per modulus for more.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -132,11 +131,6 @@ class CharacterAccumulator:
         return sum(self.counts)
 
     @property
-    def is_real_full(self) -> bool:
-        """All summands at exponent zero: the sum is the real number total."""
-        return self.counts[0] == self.total
-
-    @property
     def is_aligned(self) -> bool:
         """All mass in a single exponent class: |sum| equals total (the
         residue shift only contributes a unimodular factor)."""
@@ -154,12 +148,6 @@ class CharacterAccumulator:
         if self.is_uniform:
             return 0
         raise ArithmeticError("character sum is neither full nor zero")
-
-    def complex_value(self) -> complex:
-        return sum(
-            c * cmath.exp(2j * cmath.pi * a / self.p)
-            for a, c in enumerate(self.counts)
-        )
 
 
 def character_sum(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> CharacterAccumulator:

@@ -13,7 +13,6 @@ import hybridqmc.discrepancy as disc
 from hybridqmc.discrepancy import (
     BudgetExceededError,
     PointSetD,
-    counting_function,
     discrepancy_certificate,
     format_point_line,
     load_point_set,
@@ -23,7 +22,6 @@ from hybridqmc.discrepancy import (
     save_point_set,
     star_discrepancy_1d,
     star_discrepancy_exact,
-    superposition_bound,
     write_atomic,
 )
 from hybridqmc.gfpoly import BasePRational, Poly, poly_parse
@@ -41,31 +39,6 @@ def F(*args):
 
 def ps1(*values):
     return PointSetD([(F(v),) for v in values])
-
-
-def test_counting_examples():
-    pts = ps1(0, F(1, 2))
-    assert counting_function(pts, [1]) == 2
-    assert counting_function(pts, [F(1, 2)]) == 1
-    square = PointSetD([(F(0), F(0))])
-    assert counting_function(square, [F(1, 2), F(1, 2)]) == 1
-    with pytest.raises(ValueError):
-        counting_function(pts, [F(1, 2), F(1, 2)])
-    with pytest.raises(ValueError):
-        counting_function(pts, [0])
-
-
-def test_counting_monotone():
-    rng = random.Random(23)
-    pts = PointSetD(
-        [(F(rng.randrange(16), 16), F(rng.randrange(16), 16)) for _ in range(12)]
-    )
-    grid = [F(k, 8) for k in range(1, 9)]
-    for a in grid:
-        for b in grid[:-1]:
-            assert counting_function(pts, [a, b]) <= counting_function(
-                pts, [a, b + F(1, 8)]
-            )
 
 
 def test_exact_1d_examples():
@@ -126,8 +99,8 @@ def _grid_extremes_reference(n, denoms, numerators, cands):
     return m1, m2
 
 
-def _assert_kernel_matches_reference(pts, extra=None):
-    dn, nu, ca = disc._rescaled_columns(pts, extra)
+def _assert_kernel_matches_reference(pts):
+    dn, nu, ca = disc._rescaled_columns(pts)
     assert disc._grid_extremes(pts.n, dn, nu, ca) == _grid_extremes_reference(
         pts.n, dn, nu, ca
     )
@@ -150,8 +123,6 @@ def test_grid_kernel_matches_reference():
         _assert_kernel_matches_reference(PointSetD(rows))
         # duplicates, 18 of them at one sweep candidate
         _assert_kernel_matches_reference(PointSetD(rows[:1] * 17 + rows))
-        extra = [[F(rng.randrange(1, 33), 32) for _ in range(3)] for _ in range(4)]
-        _assert_kernel_matches_reference(PointSetD(rows), extra)
     grid = [tuple(F(c, 5) for c in t) for t in itertools.product(range(5), repeat=3)]
     _assert_kernel_matches_reference(PointSetD(grid))
     _assert_kernel_matches_reference(PointSetD([(F(1, 2),)] * 20 + [(F(0),)]))
@@ -186,19 +157,6 @@ def test_oracle_matches_reference_property(pts):
     _assert_kernel_matches_reference(pts)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_point_sets(), st.data())
-def test_monotone_refinement(pts, data):
-    # a denser candidate grid, extras at 0 and 1 included, never changes the
-    # exact result
-    extra = [
-        data.draw(st.lists(st.fractions(0, 1, max_denominator=32), max_size=4))
-        for _ in range(pts.dim)
-    ]
-    base = star_discrepancy_exact(pts)
-    assert star_discrepancy_exact(pts, extra_candidates=extra) == base
-
-
 def test_exact_dim_and_budget_limits():
     with pytest.raises(ValueError):
         star_discrepancy_exact(PointSetD([(F(0),) * 5]))
@@ -211,26 +169,6 @@ def test_duplicate_points_are_counted_with_multiplicity():
     pts = ps1(F(1, 2), F(1, 2))
     # both points sit at 1/2: D* = max(1 - 1/2, 1/2) = 1/2
     assert star_discrepancy_exact(pts) == F(1, 2)
-
-
-def test_superposition_examples():
-    assert superposition_bound([(2, F(1, 2))]) == 1
-    assert superposition_bound([(2, F(1, 2)), (2, F(1, 4))]) == F(3, 2)
-    assert superposition_bound([]) == 0
-    with pytest.raises(ValueError):
-        superposition_bound([(0, F(1, 2))])
-
-
-def test_superposition_dominates_union():
-    rng = random.Random(3)
-    for _ in range(25):
-        a = [(F(rng.randrange(32), 32),) for _ in range(rng.randrange(1, 10))]
-        b = [(F(rng.randrange(32), 32),) for _ in range(rng.randrange(1, 10))]
-        da = star_discrepancy_exact(PointSetD(a))
-        db = star_discrepancy_exact(PointSetD(b))
-        union = PointSetD(a + b)
-        lhs = union.n * star_discrepancy_exact(union)
-        assert lhs <= superposition_bound([(len(a), da), (len(b), db)])
 
 
 def _prefix_discrepancies_reference(points):
@@ -387,7 +325,7 @@ def test_point_file_rational_round_trip(case):
         save_point_set(path, rows, meta)
         loaded, loaded_meta = load_point_set(path)
     assert loaded_meta == meta
-    assert loaded.points == tuple(rows)
+    assert loaded.fractions == tuple(rows)
     assert loaded.fractions == PointSetD(rows).fractions
 
 
@@ -417,7 +355,6 @@ def test_oracle_reads_base_p_rows_as_their_fractions(case):
 def test_point_set_keeps_base_p_coordinates():
     rows = [(BasePRational(3, n, 2), BasePRational(2, n % 4, 2)) for n in range(9)]
     pts = PointSetD(rows)
-    assert pts.points is pts.fractions
     assert all(pts.fractions[i][j] is rows[i][j] for i in range(9) for j in range(2))
     assert pts.prefix(4).fractions[3][1] is rows[3][1]
     assert pts.project([1]).fractions[5][0] is rows[5][1]

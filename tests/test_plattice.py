@@ -21,6 +21,8 @@ from hybridqmc.plattice import (
     LatticeConfig,
     SubLatticeSpec,
     build_generating_matrix,
+    coprime_to_irreducible,
+    index_walk,
     korobov_qvec,
     plattice_point_laurent,
     plattice_point_matrix,
@@ -184,9 +186,39 @@ def _irreducible_and_nonzero(draw):
 @example((P("X^2+X+1"), P("X^3+X")))  # B coprime to pX, deg B = m + 1
 @given(_irreducible_and_nonzero())
 def test_coprime_to_an_irreducible_modulus_iff_not_divisible(case):
-    # _check_sublattice and the suites test coprimality by this rule
+    # every coprimality check of the package calls coprime_to_irreducible
     pX, B = case
-    assert (B % pX).is_zero == (poly_gcd(B, pX).degree > 0)
+    assert coprime_to_irreducible(B, pX) == (poly_gcd(B, pX).degree == 0)
+
+
+@st.composite
+def _walks(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    d, length = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    vector = st.lists(st.integers(0, p - 1), min_size=length, max_size=length)
+    columns = draw(st.lists(vector, min_size=d, max_size=d))
+    return p, columns, draw(vector), draw(st.integers(0, p**d))
+
+
+@settings(max_examples=200, deadline=None)
+@example((2, [], [1, 0], 1))  # d = 0: the shift alone
+@example((3, [[1, 2], [0, 1]], [2, 2], 7))  # a count that is no power of p
+@example((5, [[4], [3], [2]], [1], 125))
+@given(_walks())
+def test_index_walk_is_the_affine_digit_map(case):
+    # the one enumerator of digital_points, sublattice_indices and
+    # sublattice_affine: vector n is shift + sum_c n_c * columns[c] mod p,
+    # n_c the base-p digits of n
+    p, columns, shift, count = case
+    walk = [list(v) for v in index_walk(columns, shift, count, p)]
+    assert len(walk) == count
+    for n, got in enumerate(walk):
+        digits = [n // p**c % p for c in range(len(columns))]
+        want = [
+            (s + sum(nc * col[j] for nc, col in zip(digits, columns))) % p
+            for j, s in enumerate(shift)
+        ]
+        assert got == want
 
 
 @pytest.mark.parametrize("route", [sublattice_matrices, walsh_discrepancy_bound])

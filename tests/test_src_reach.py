@@ -1,0 +1,62 @@
+"""src/ holds what the package itself or the benchmark reaches.
+
+Every top-level function and class of a hybridqmc module must be named by a
+Name or Attribute node somewhere else in src/ (not inside its own definition,
+and not in __init__.py, whose re-exports reach nothing by themselves) or in
+bench/.  The benchmark's tracer also binds names by string through getattr,
+so a string constant in bench/ that spells the name counts as a reference.
+A function that only tests call belongs in tests/, as their reference.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "hybridqmc").glob("*.py") if p.name != "__init__.py")
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+
+
+def _references(tree, skip=None, strings=False) -> set:
+    """The identifiers of tree's Name and Attribute nodes outside the node
+    skip, and with strings also its string constants."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _unreached() -> list:
+    trees = {path.name: ast.parse(path.read_text(), path.name) for path in MODULES}
+    bench = set()
+    for path in BENCH:
+        bench |= _references(ast.parse(path.read_text(), path.name), strings=True)
+    unreached = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name in bench or any(
+                node.name in _references(other, node if other is tree else None)
+                for other in trees.values()
+            ):
+                continue
+            unreached.append(f"{name}:{node.name}")
+    return unreached
+
+
+def test_the_modules_and_the_bench_are_found():
+    assert {"cli.py", "walsh.py"} <= {path.name for path in MODULES}
+    assert "tracing.py" in {path.name for path in BENCH}
+
+
+def test_every_top_level_definition_is_reached():
+    assert _unreached() == []

@@ -77,7 +77,7 @@ def test_shape_sums_at_t2_only_read_the_table(monkeypatch):
     # every binding site of each name: its defining module and walsh
     for name, fn in (
         ("digit_matrix", plattice.digit_matrix),
-        ("digit_images", plattice.digit_images),
+        ("index_walk", plattice.index_walk),
         ("laurent_coeffs", gfpoly.laurent_coeffs),
     ):
         for module in (plattice, gfpoly, walsh):

@@ -24,8 +24,8 @@ from hybridqmc.discrepancy import discrepancy_certificate
 from hybridqmc.plattice import (
     LatticeConfig,
     SubLatticeSpec,
-    digit_images,
     digit_matrix,
+    index_walk,
     sublattice_enumerate,
 )
 from hybridqmc.seqgen import HaltonConfig
@@ -115,15 +115,15 @@ def test_weight_total_closed_equals_direct():
 
 def test_accumulator_invariants():
     acc = CharacterAccumulator.from_exponents(2, [0, 0, 0, 0])
-    assert acc.is_real_full and acc.magnitude() == 4
+    assert acc.is_aligned and acc.magnitude() == 4
     acc = CharacterAccumulator.from_exponents(2, [0, 1, 0, 1])
     assert acc.is_uniform and acc.magnitude() == 0
     acc = CharacterAccumulator.from_exponents(2, [1])
-    assert acc.is_aligned and not acc.is_real_full and acc.magnitude() == 1
+    assert acc.is_aligned and acc.magnitude() == 1
     acc = CharacterAccumulator(3, (2, 1, 0))
     with pytest.raises(ArithmeticError):
         acc.magnitude()
-    assert abs(CharacterAccumulator(3, (1, 1, 1)).complex_value()) < 1e-12
+    assert CharacterAccumulator(3, (1, 1, 1)).magnitude() == 0
 
 
 def test_character_sum_examples():
@@ -328,15 +328,15 @@ def test_digit_matrix_matches_laurent_division(data):
 
 def _point_sum(cfg, modulus, d):
     # reference: sum_l prod_i 3p*phi(x_i(l)) over the p^d points l*B, from a
-    # polynomial product, a digit map by Laurent division and a pass over its
-    # p^d images of its own for every level d
+    # polynomial product, a digit map by Laurent division and a walk over its
+    # p^d images for every level d
     p = cfg.p
     zero = (0,) * cfg.m
-    columns = [
-        digit_images(_laurent_block(modulus * q, cfg.modulus, d), zero, p)
+    walks = [
+        index_walk(list(zip(*_laurent_block(modulus * q, cfg.modulus, d))), zero, p**d, p)
         for q in cfg.generators
     ]
-    return sum(math.prod(_scaled_phi(x, p) for x in point) for point in zip(*columns))
+    return sum(math.prod(_scaled_phi(x, p) for x in point) for point in zip(*walks))
 
 
 def _dual_weight_sum_per_level(cfg, modulus, d):
@@ -352,9 +352,8 @@ def _irreducibles(p, m):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_shape_sums_match_point_sums(data):
-    # _shape_sums reads every level off one digit map built by convolution
-    # with the Laurent digits of q_i/pX: the rank profile at t = 1, one
-    # image pass at t >= 2
+    # _shape_sums reads every level off r_i = B*q_i mod pX: the rank
+    # profile at t = 1, the unit-group table at t >= 2
     p = data.draw(st.sampled_from((2, 3, 5)), label="p")
     m = data.draw(st.integers(1, 5), label="m")
     t = data.draw(st.integers(1, 3), label="t")
