@@ -264,14 +264,30 @@ class LevelBreakdown:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Per-level breakdown of the rigorous hybrid discrepancy bound."""
+    """The hybrid discrepancy bound as integer numerators over p^m * (3p)^t:
+    level values u = 0..m and class bounds; per_level is built on first read."""
 
     p: int
     m: int
     s: int
     t: int
-    total: object
-    per_level: tuple
+    total: Fraction
+    level_numerators: tuple
+    shape_numerators: tuple
+    table: tuple
+
+    @functools.cached_property
+    def per_level(self) -> tuple:
+        den = self.p**self.m * (3 * self.p) ** self.t
+        levels = [LevelBreakdown(0, Fraction(1), ())]
+        rows = zip(self.level_numerators[1:], self.table, self.shape_numerators)
+        for u, (num, table, nums) in enumerate(rows, start=1):
+            shapes = (
+                ShapeContribution(exps, deg_b, u - deg_b, mult, Fraction(bound, den))
+                for (exps, deg_b, mult, _), bound in zip(table, nums)
+            )
+            levels.append(LevelBreakdown(u, Fraction(num, den), tuple(shapes)))
+        return tuple(levels)
 
     def as_dict(self) -> dict:
         return {
@@ -327,8 +343,8 @@ def discrepancy_certificate(
     class-multiplicity bound times the Walsh-sum bound (or 1 when the
     modulus degree exceeds u).  The multiplicity is prod (p^(e_i) - 1),
     with one extra class at j_i = ceil(u/e_i) covering boxes that span a
-    full coordinate.  Level values and the total are summed as integers
-    over p^m * (3p)^t, which every class bound's denominator divides.
+    full coordinate.  Class bounds, level values and the total are summed
+    as integers over p^m * (3p)^t; only the total becomes a Fraction here.
     """
     p = halton_cfg.p
     if lattice_cfg.p != p:
@@ -337,24 +353,17 @@ def discrepancy_certificate(
         raise ValueError("lattice modulus degree must equal m")
     t = lattice_cfg.t
     den = p**m * (3 * p) ** t
-    levels = [LevelBreakdown(0, Fraction(1), ())]
-    nums = [den]
-    for u, table in enumerate(_shape_table(halton_cfg.bases, lattice_cfg.modulus), start=1):
-        shapes = []
-        num = halton_cfg.s * den
-        for exps, deg_b, mult, modulus in table:
-            d = u - deg_b
-            if modulus is None:
-                bound = Fraction(1)
-                num += mult * den
-            else:
-                bound = _modulus_bound(lattice_cfg, modulus, d)
-                num += mult * bound.numerator * (den // bound.denominator)
-            shapes.append(ShapeContribution(exps, deg_b, d, mult, bound))
-        levels.append(LevelBreakdown(u, Fraction(num, den), tuple(shapes)))
-        nums.append(num)
-    total = Fraction(den + nums[m] + (p - 1) * sum(nums[:m]), den)
-    return Certificate(p, m, halton_cfg.s, t, total, tuple(levels))
+    tables = _shape_table(halton_cfg.bases, lattice_cfg.modulus)
+    levels, shapes = [den], []
+    for u, table in enumerate(tables, start=1):
+        nums = tuple(
+            den if modulus is None else _modulus_bound(lattice_cfg, modulus)[u - deg_b]
+            for _, deg_b, _, modulus in table
+        )
+        levels.append(halton_cfg.s * den + sum(sh[2] * num for sh, num in zip(table, nums)))
+        shapes.append(nums)
+    total = Fraction(den + levels[m] + (p - 1) * sum(levels[:m]), den)
+    return Certificate(p, m, halton_cfg.s, t, total, tuple(levels), tuple(shapes), tables)
 
 
 _HEADER_KEYS = ("p", "m", "dim", "count")

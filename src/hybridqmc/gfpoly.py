@@ -5,8 +5,9 @@ A polynomial c_0 + c_1*X + ... + c_d*X^d is stored as the tuple
 entries; the zero polynomial is the empty tuple and its degree is the
 sentinel NEG_INF (never the ordinary integer -1).  All values are
 immutable and all operations are exact.  One long-division kernel on
-coefficient tuples serves divmod, % and the Laurent digits, so none of
-them builds an intermediate polynomial.
+coefficient tuples serves divmod, % and the Laurent digits: it subtracts
+only the divisor's nonzero low terms, reduces mod p only the coefficient
+each step cancels, and reduces the remainder once at the end.
 
 This module also holds the two small value types shared by the point
 constructions: BasePRational, an exact coordinate a/p^L in [0,1) that is
@@ -53,9 +54,6 @@ class PrimeModulus:
     def __post_init__(self):
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ValueError(f"modulus {self.p!r} is not prime")
-
-    def __int__(self) -> int:
-        return self.p
 
 
 def as_prime(p) -> int:
@@ -175,9 +173,7 @@ class Poly:
         """Multiply by X^k (k >= 0)."""
         if k < 0:
             raise ValueError("negative shift")
-        if self.is_zero or k == 0:
-            return self if k == 0 else Poly._raw(self.p, self.coeffs)
-        return Poly._raw(self.p, (0,) * k + self.coeffs)
+        return self if k == 0 or self.is_zero else Poly._raw(self.p, (0,) * k + self.coeffs)
 
     def scale(self, c: int) -> "Poly":
         """Multiply by the scalar c in GF(p)."""
@@ -213,25 +209,26 @@ class Poly:
 
 
 def _long_division(a: tuple, b: tuple, p: int, quotient: bool):
-    """The one long division over GF(p), on coefficient tuples: (q, r) with
-    a = q*b + r and deg r < deg b, both trailing-zero free; q is None unless
-    asked for.  Each step cancels the top term by construction, so only b's
-    lower terms are subtracted; a monic b needs no inverse."""
+    """The one long division over GF(p): (q, r) with a = q*b + r, deg r < deg b,
+    r reduced and trailing-zero free, q None unless asked for; a may hold any
+    integers.  Each step cancels the top term by construction, so only b's
+    nonzero low terms are subtracted and only that term is reduced mod p."""
     if not b:
         raise ZeroDivisionError("zero divisor")
     db = len(b) - 1
-    lead, low = b[-1], b[:-1]
-    inv = 1 if lead == 1 else pow(lead, p - 2, p)
+    inv = 1 if b[-1] == 1 else pow(b[-1], p - 2, p)
+    low = [(j, c) for j, c in enumerate(b[:-1]) if c]
     rem = list(a)
     q = [0] * (len(a) - db) if quotient else None
     for i in range(len(a) - db - 1, -1, -1):
-        f = rem[i + db]
+        f = rem[i + db] % p
         if f:
             f = f * inv % p
             if quotient:
                 q[i] = f
-            rem[i : i + db] = [(x - f * y) % p for x, y in zip(rem[i : i + db], low)]
-    del rem[db:]
+            for j, c in low:
+                rem[i + j] -= f * c
+    rem = [x % p for x in rem[:db]]
     while rem and rem[-1] == 0:
         rem.pop()
     return (tuple(q) if quotient else None), tuple(rem)
@@ -340,22 +337,16 @@ def poly_to_int(a: Poly) -> int:
 
 
 def laurent_coeffs(numerator: Poly, denominator: Poly, t: int) -> tuple:
-    """The tuple (a_1, ..., a_T) of the fractional part of numerator/denominator:
-    the numerator is reduced mod the denominator to r, and one long division of
-    r * X^T by the denominator yields them, a_T its lowest coefficient."""
-    if denominator.is_zero:
-        raise ZeroDivisionError("zero divisor")
+    """The tuple (a_1, ..., a_T) of the fractional part of numerator/denominator,
+    read off one long division: the quotient of X^T * numerator by the
+    denominator ends in the T terms a_1 X^(T-1) + ... + a_T."""
     if t < 1:
         raise ValueError("prefix length must be >= 1")
     if not isinstance(numerator, Poly):
         raise TypeError(f"expected Poly, got {type(numerator).__name__}")
     numerator._check_same_field(denominator)
-    b, p = denominator.coeffs, denominator.p
-    r = _long_division(numerator.coeffs, b, p, False)[1]
-    if not r:
-        return (0,) * t
-    q = _long_division((0,) * t + r, b, p, True)[0]
-    return (0,) * (t - len(q)) + q[::-1]
+    q = _long_division((0,) * t + numerator.coeffs, denominator.coeffs, numerator.p, True)[0]
+    return (q + (0,) * t)[t - 1 :: -1]
 
 
 def valuation(numerator: Poly, denominator: Poly):
@@ -495,9 +486,6 @@ class BasePRational(Fraction):
     @classmethod
     def zero(cls, p) -> "BasePRational":
         return cls(p, 0, 0)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self)
 
     def digit(self, j: int) -> int:
         """The j-th digit after the radix point (1-based); 0 beyond L."""

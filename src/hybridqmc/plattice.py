@@ -201,16 +201,13 @@ class SubLatticeSpec:
     def shift_poly(self) -> Poly:
         """The fixed high part C(X): matching indices have digit polynomial
         (l(X) + X^d C(X)) * B(X) + R(X) with l running over degrees < d."""
-        B, R = self.cls.modulus, self.cls.residue
-        p = self.p
+        B, R, p = self.cls.modulus, self.cls.residue, self.p
         a = poly_from_int(self.block_start, p)
         h0 = (R - a) % B
         k_base, rem = divmod(a + h0 - R, B)
         if not rem.is_zero:
             raise AssertionError("congruence solution must be divisible by modulus")
-        if self.d == 0:
-            return k_base
-        return k_base // Poly.x(p).shift(self.d - 1)
+        return Poly(p, k_base.coeffs[self.d :])
 
 
 def coprime_to_irreducible(B: Poly, pX: Poly) -> bool:

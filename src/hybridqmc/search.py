@@ -29,7 +29,7 @@ from .gfpoly import (
     poly_to_int,
     valuation,
 )
-from .plattice import LatticeConfig, coprime_to_irreducible, korobov_qvec
+from .plattice import LatticeConfig, _irreducible_modulus, coprime_to_irreducible, korobov_qvec
 from .seqgen import HaltonConfig, hybrid_point_set
 from .walsh import _modulus_bound, walsh_weight_total
 
@@ -183,6 +183,8 @@ class DualCounts:
 
 def _digit_freedom(modulus_b: Poly, pX: Poly, u: int) -> int:
     """d = u - deg(B) for a B coprime to the irreducible pX, deg(B) <= u <= m."""
+    if not _irreducible_modulus(pX):
+        raise ValueError("modulus must be irreducible")
     if not coprime_to_irreducible(modulus_b, pX):
         raise ValueError("modulus shares factor with pX")
     if not modulus_b.degree <= u <= pX.degree:
@@ -205,8 +207,7 @@ def dual_solution_counts(
         raise ValueError("frequency tuple must be nonzero")
     if len(kvec) != t:
         raise ValueError("frequency tuple length must equal t")
-    p = pX.p
-    m = pX.degree
+    p, m = pX.p, pX.degree
     d = _digit_freedom(modulus_b, pX, u)
     kpolys = [poly_from_int(k, p) for k in kvec]
     if mode not in ("general", "korobov"):
@@ -240,16 +241,13 @@ def dual_solution_counts(
 def average_bound_check(modulus_b: Poly, u: int, pX: Poly, t: int, budget: int | None = None):
     """(empirical average, theoretical cap) of the sub-lattice Walsh bound
     over every generator tuple; raises if the average exceeds the cap."""
-    p = pX.p
-    m = pX.degree
+    p, m = pX.p, pX.degree
     d = _digit_freedom(modulus_b, pX, u)
-    total = Fraction(0)
-    count = 0
+    total = count = 0
     for qvec in _candidates("exhaustive", t, pX, budget):
-        cfg = LatticeConfig(p, pX, qvec)
-        total += _modulus_bound(cfg, modulus_b, d)
+        total += _modulus_bound(LatticeConfig(p, pX, qvec), modulus_b)[d]
         count += 1
-    empirical = total / count
+    empirical = Fraction(total, count * p**m * (3 * p) ** t)
     theoretical = t + Fraction(p**m, p**m - 1) * walsh_weight_total(p, m, t)
     if empirical > theoretical:
         raise ArithmeticError("empirical average exceeds the theoretical cap")

@@ -279,9 +279,9 @@ def _unit_group(pX: Poly) -> tuple:
 
 
 @functools.lru_cache(maxsize=4096)
-def _rank_profile(pX: Poly, r: Poly) -> tuple:
-    """S_d = sum_l 3p*phi(M l) over l in GF(p)^d for every d = 0..m, M the
-    m x m Hankel map of {r/pX}, from one elimination over its rows.
+def _rank_profile(pX: Poly, code: int) -> tuple:
+    """S_d = sum_l 3p*phi(M l) over l in GF(p)^d for every d = 0..m, M the m x m
+    Hankel map of {r/pX}, r encoded as code, from one elimination over its rows.
 
     phi(x) = 1 + sum_g [x_1 = ... = x_g = 0] f(x_(g+1)) with f of mean zero
     over GF(p) and f(0) = (p^2-1)/(3p).  On the kernel of rows 0..g-1 cut
@@ -294,7 +294,7 @@ def _rank_profile(pX: Poly, r: Poly) -> tuple:
     row that reduces to zero).  A pivot at column c changes only columns
     >= c, so the m x d map of {r/pX} has this profile's first d + 1 sums."""
     p, m = pX.p, pX.degree
-    digits = laurent_coeffs(r, pX, 2 * m - 1)
+    digits = laurent_coeffs(poly_from_int(code, p), pX, 2 * m - 1)
     pivots, lows = {}, []  # pivots: column -> reduced row, 1 there and 0 before it
     for j in range(m):
         row, low = digits[j : j + m], m
@@ -335,7 +335,7 @@ def _shape_sums(cfg: LatticeConfig, modulus: Poly) -> tuple:
     if b.is_zero:
         raise ValueError("shape modulus is divisible by pX")
     if cfg.t == 1:
-        return _rank_profile(pX, b)[: dmax + 1]
+        return _rank_profile(pX, poly_to_int(b))[: dmax + 1]
     log, F = _unit_group(pX)
     logs, n = log[1 : p**dmax], len(F) // 2
     shifts = [(log[poly_to_int(b)] + log[poly_to_int(q)]) % n for q in cfg.generators]
@@ -346,19 +346,20 @@ def _shape_sums(cfg: LatticeConfig, modulus: Poly) -> tuple:
 
 
 @functools.lru_cache(maxsize=65536)
-def _modulus_bound(cfg: LatticeConfig, modulus: Poly, d: int) -> Fraction:
-    """t*p^(d-m) plus p^d times the dual weight sum p^-d * S_d/(3p)^t - 1,
-    capped at p^d: one exact Fraction over p^(m-d) * (3p)^t, every prime."""
-    p, t = cfg.p, cfg.t
-    scale, rest = (3 * p) ** t, p ** (cfg.m - d)
-    den = rest * scale
-    num = t * scale + rest * _shape_sums(cfg, modulus)[d] - p**d * den
-    return Fraction(min(num, p**d * den), den)
+def _modulus_bound(cfg: LatticeConfig, modulus: Poly) -> tuple:
+    """For every d = 0..m - deg B, t*p^(d-m) plus p^d times the dual weight
+    sum p^-d * S_d/(3p)^t - 1, capped at p^d, as an integer over
+    p^m * (3p)^t: min(t*c + p^m*(S_d - c), p^m*c) with c = p^d*(3p)^t."""
+    p, pm, scale = cfg.p, cfg.p**cfg.m, (3 * cfg.p) ** cfg.t
+    sums = _shape_sums(cfg, modulus)
+    caps = [p**d * scale for d in range(len(sums))]
+    return tuple(min(cfg.t * c + pm * (s - c), pm * c) for c, s in zip(caps, sums))
 
 
-def walsh_discrepancy_bound(spec: SubLatticeSpec, cfg: LatticeConfig):
+def walsh_discrepancy_bound(spec: SubLatticeSpec, cfg: LatticeConfig) -> Fraction:
     """Rigorous upper bound on L * D*_L of the sub-lattice point set
     (L = p^d): t*p^(d-m) plus p^d times the dual weight sum, capped at the
     trivial bound p^d.  Independent of the residue and block position."""
     _check_sublattice(spec, cfg)
-    return _modulus_bound(cfg, spec.cls.modulus, spec.d)
+    bound = _modulus_bound(cfg, spec.cls.modulus)[spec.d]
+    return Fraction(bound, cfg.p**cfg.m * (3 * cfg.p) ** cfg.t)

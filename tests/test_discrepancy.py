@@ -24,7 +24,7 @@ from hybridqmc.discrepancy import (
     star_discrepancy_exact,
     write_atomic,
 )
-from hybridqmc.gfpoly import BasePRational, Poly, poly_parse
+from hybridqmc.gfpoly import BasePRational, Poly, irreducible_poly, poly_from_int, poly_parse
 from hybridqmc.plattice import LatticeConfig
 from hybridqmc.seqgen import HaltonConfig, hybrid_point_set
 
@@ -276,6 +276,30 @@ def test_certificate_class_bounds_capped():
                 assert sh.class_bound == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_certificate_total_is_rebuilt_from_per_level(data):
+    # the breakdown is built on first read from the integer numerators; its
+    # level values must give back the total, and each value its shapes
+    p = data.draw(st.sampled_from((2, 3)), label="p")
+    m = data.draw(st.integers(2, 5 if p == 2 else 3), label="m")
+    bases = data.draw(st.sampled_from(((), ("X",), ("X", "X+1"))), label="bases")
+    halton = HaltonConfig.make(p, tuple(P(b, p) for b in bases))
+    t = data.draw(st.integers(1, 2), label="t")
+    qvec = data.draw(st.lists(st.integers(1, p**m - 1), min_size=t, max_size=t), label="q")
+    lattice = LatticeConfig(p, irreducible_poly(p, m), tuple(poly_from_int(q, p) for q in qvec))
+    cert = discrepancy_certificate(m, halton, lattice)
+    levels = cert.per_level
+    assert levels is cert.per_level
+    assert [lv.u for lv in levels] == list(range(m + 1))
+    values = [lv.value for lv in levels]
+    assert cert.total == 1 + values[m] + (p - 1) * sum(values[:m])
+    assert values[0] == 1
+    for lv in levels[1:]:
+        assert all(type(sh.class_bound) is Fraction for sh in lv.shapes)
+        assert lv.value == len(bases) + sum(sh.multiplicity * sh.class_bound for sh in lv.shapes)
+
+
 def test_certificate_rejects_shared_base():
     lat = LatticeConfig(2, P("X^2+X+1"), (Poly.x(2),))
     cfg = HaltonConfig.make(2, (P("X^2+X+1"),))
@@ -347,7 +371,7 @@ def test_point_file_decimal_round_trip(case, spare):
 def test_oracle_reads_base_p_rows_as_their_fractions(case):
     _, _, rows = case
     base_p = PointSetD(rows)
-    plain = PointSetD([tuple(c.as_fraction() for c in row) for row in rows])
+    plain = PointSetD([tuple(Fraction(c) for c in row) for row in rows])
     assert star_discrepancy_exact(base_p) == star_discrepancy_exact(plain)
     assert prefix_discrepancies(base_p) == prefix_discrepancies(plain)
 

@@ -12,6 +12,7 @@ from hybridqmc.gfpoly import (
     Poly,
     PrimeModulus,
     ResidueClass,
+    _long_division,
     as_prime,
     irreducible_poly,
     laurent_coeffs,
@@ -315,7 +316,7 @@ def test_base_p_rational_invariants():
     assert x.token() == "13/16"
     assert x == BasePRational(2, 13, 4)
     assert BasePRational(2, 1, 1) == BasePRational(2, 2, 2)  # value equality
-    assert BasePRational.zero(3).as_fraction() == 0
+    assert Fraction(BasePRational.zero(3)) == 0
     with pytest.raises(ValueError):
         BasePRational(2, 4, 2)
     with pytest.raises(ValueError):
@@ -330,15 +331,15 @@ def test_base_p_rational_ordering_mixed():
     ]
     for a in values:
         for b in values:
-            fa, fb = a.as_fraction(), b.as_fraction()
+            fa, fb = Fraction(a), Fraction(b)
             assert (a == b) == (fa == fb)
             assert (a < b) == (fa < fb)
             if a == b:
                 assert hash(a) == hash(b)
-        assert a == a.as_fraction() and hash(a) == hash(a.as_fraction())
-        assert isinstance(a, Fraction) and type(a.as_fraction()) is Fraction
-        assert float(a) == float(a.as_fraction())
-    assert [x.as_fraction() for x in sorted(values)] == sorted(x.as_fraction() for x in values)
+        assert a == Fraction(a) and hash(a) == hash(Fraction(a))
+        assert isinstance(a, Fraction) and type(Fraction(a)) is Fraction
+        assert float(a) == float(Fraction(a))
+    assert [Fraction(x) for x in sorted(values)] == sorted(Fraction(x) for x in values)
     assert BasePRational(3, 0, 2) == 0 and hash(BasePRational(3, 0, 2)) == hash(0)
 
 
@@ -401,3 +402,72 @@ def test_division_errors():
             divide(a, 3)
     with pytest.raises(TypeError):
         laurent_coeffs(3, a, 3)
+
+
+def _schoolbook_division(a, b, p):
+    # dense reference: reduce every coefficient, subtract the whole scaled
+    # divisor at every step and reduce again
+    rem = [x % p for x in a]
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(q))):
+        q[i] = rem[i + len(b) - 1] * inv % p
+        for j, c in enumerate(b):
+            rem[i + j] = (rem[i + j] - q[i] * c) % p
+    rem = rem[: len(b) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(q), tuple(rem)
+
+
+@st.composite
+def _kernel_cases(draw):
+    # a is any integer list, as a product of reduced coefficients may be; b
+    # is a reduced divisor with any nonzero leading coefficient
+    p = draw(st.sampled_from((2, 3, 5, 7)), label="p")
+    a = draw(st.lists(st.integers(-3 * p * p, 3 * p * p), max_size=12), label="a")
+    low = draw(st.lists(st.integers(0, p - 1), max_size=6), label="b low")
+    return a, (*low, draw(st.integers(1, p - 1), label="b lead")), p
+
+
+@settings(max_examples=400, deadline=None)
+@example(((), (1, 3), 5))  # zero numerator, non-monic divisor
+@example(((0, 5, -5), (2, 1), 5))  # an unreduced zero numerator
+@example(((6, 2), (1, 0, 0, 3), 7))  # deg a < deg b
+@example(((2, 1, 2), (2,), 3))  # constant non-monic divisor
+@example(((1,) * 12, (1, 0, 0, 0, 0, 1), 2))  # sparse divisor
+@given(_kernel_cases())
+def test_long_division_matches_schoolbook(case):
+    a, b, p = case
+    q, r = _schoolbook_division(a, b, p)
+    assert _long_division(a, b, p, True) == (q, r)
+    assert _long_division(a, b, p, False) == (None, r)
+
+
+def test_long_division_rejects_a_zero_divisor():
+    for quotient in (True, False):
+        with pytest.raises(ZeroDivisionError, match="zero divisor"):
+            _long_division((1, 2), (), 3, quotient)
+
+
+def _two_step_laurent(numerator, denominator, t):
+    # the definition: r = numerator mod denominator, then the quotient of
+    # r * X^T by the denominator holds a_T, ..., a_1 from its lowest term up
+    p, b = numerator.p, denominator.coeffs
+    r = _schoolbook_division(numerator.coeffs, b, p)[1]
+    q = _schoolbook_division((0,) * t + r, b, p)[0]
+    return tuple(q[t - j] if t - j < len(q) else 0 for j in range(1, t + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_laurent_coeffs_is_the_two_step_definition(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)), label="p")
+    digit = st.integers(0, p - 1)
+    numerator = Poly(p, data.draw(st.lists(digit, max_size=12), label="numerator"))
+    lead = data.draw(st.integers(1, p - 1), label="lead")
+    denominator = Poly(p, data.draw(st.lists(digit, max_size=6), label="low") + [lead])
+    t = data.draw(st.integers(1, 14), label="t")
+    assert laurent_coeffs(numerator, denominator, t) == _two_step_laurent(
+        numerator, denominator, t
+    )

@@ -14,6 +14,7 @@ from hybridqmc.gfpoly import (
     poly_gcd,
     poly_is_irreducible,
     poly_parse,
+    poly_to_int,
 )
 from hybridqmc import plattice
 from hybridqmc.plattice import (
@@ -63,7 +64,7 @@ def test_lattice_config_validation():
 
 def test_point_laurent_examples():
     cfg = LatticeConfig(2, PX2, (Poly.x(2),))
-    values = [plattice_point_laurent(n, cfg)[0].as_fraction() for n in range(4)]
+    values = [Fraction(plattice_point_laurent(n, cfg)[0]) for n in range(4)]
     assert values == [0, Fraction(3, 4), Fraction(1, 2), Fraction(1, 4)]
     with pytest.raises(ValueError):
         plattice_point_laurent(4, cfg)
@@ -82,9 +83,9 @@ def test_generating_matrix_examples():
 def test_point_matrix_examples():
     cfg = LatticeConfig(2, PX2, (Poly.x(2),))
     mats = [build_generating_matrix(q, PX2) for q in cfg.generators]
-    assert plattice_point_matrix(1, mats)[0].as_fraction() == Fraction(3, 4)
-    assert plattice_point_matrix(0, mats)[0].as_fraction() == 0
-    assert plattice_point_matrix(3, mats)[0].as_fraction() == Fraction(1, 4)
+    assert Fraction(plattice_point_matrix(1, mats)[0]) == Fraction(3, 4)
+    assert Fraction(plattice_point_matrix(0, mats)[0]) == 0
+    assert Fraction(plattice_point_matrix(3, mats)[0]) == Fraction(1, 4)
 
 
 def test_path_equivalence_small():
@@ -148,12 +149,12 @@ def test_sublattice_examples():
     full = SubLatticeSpec(2, 0, ResidueClass(Poly.one(2), Poly.zero(2)))
     assert len(sublattice_enumerate(full, cfg)) == 4
     even = SubLatticeSpec(2, 0, ResidueClass(Poly.x(2), Poly.zero(2)))
-    assert [pt[0].as_fraction() for pt in sublattice_enumerate(even, cfg)] == [
+    assert [Fraction(pt[0]) for pt in sublattice_enumerate(even, cfg)] == [
         0,
         Fraction(1, 2),
     ]
     odd = SubLatticeSpec(2, 0, ResidueClass(Poly.x(2), Poly.one(2)))
-    assert [pt[0].as_fraction() for pt in sublattice_enumerate(odd, cfg)] == [
+    assert [Fraction(pt[0]) for pt in sublattice_enumerate(odd, cfg)] == [
         Fraction(3, 4),
         Fraction(1, 4),
     ]
@@ -327,6 +328,33 @@ def test_sublattice_indices_match_the_membership_filter(case):
     spec, cfg = case
     block = range(spec.block_start, spec.block_start + cfg.p**spec.u)
     assert sublattice_indices(spec, cfg) == [n for n in block if spec.cls.contains(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_specs())
+def test_shift_poly_is_the_fixed_high_part(case):
+    # the matching indices are (l + X^d C) B + R for every l of degree < d
+    spec, cfg = case
+    p, B, R, d = cfg.p, spec.cls.modulus, spec.cls.residue, spec.d
+    high = spec.shift_poly.shift(d)
+    indices = sorted(poly_to_int((poly_from_int(l, p) + high) * B + R) for l in range(p**d))
+    assert indices == sublattice_indices(spec, cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_point_laurent_matches_the_matrix_route(data):
+    # the Laurent route against the generating-matrix route, any irreducible pX
+    p = data.draw(st.sampled_from((2, 3, 5, 7)), label="p")
+    m = data.draw(st.integers(1, 6 if p == 2 else 3), label="m")
+    monics = (poly_from_int(p**m + low, p) for low in range(p**m))
+    pX = data.draw(st.sampled_from([f for f in monics if poly_is_irreducible(f)]), label="pX")
+    t = data.draw(st.integers(1, 3), label="t")
+    qvec = data.draw(st.lists(st.integers(1, p**m - 1), min_size=t, max_size=t), label="q")
+    cfg = LatticeConfig(p, pX, tuple(poly_from_int(q, p) for q in qvec))
+    mats = [build_generating_matrix(q, pX) for q in cfg.generators]
+    n = data.draw(st.integers(0, p**m - 1), label="n")
+    assert plattice_point_laurent(n, cfg) == plattice_point_matrix(n, mats)
 
 
 def test_sublattice_enumerate_uses_nothing_from_the_affine_route(monkeypatch):

@@ -107,6 +107,15 @@ def test_dual_counts_respect_the_search_budget(monkeypatch):
         dual_solution_counts((1, 0), Poly.one(2), PX3, 2, 3, "exhaustive")
 
 
+def test_dual_counts_reject_a_reducible_modulus():
+    # X^2 + X = X(X + 1): the counts and the coprimality rule assume pX irreducible
+    for B in (P("X"), Poly.one(2)):
+        with pytest.raises(ValueError, match="modulus must be irreducible"):
+            dual_solution_counts((1,), B, P("X^2+X"), 1, 1)
+        with pytest.raises(ValueError, match="modulus must be irreducible"):
+            average_bound_check(B, 1, P("X^2+X"), 1)
+
+
 def test_dual_counts_consistency_split():
     # kernel + low_valuation = total dual membership, by definition split
     from hybridqmc.gfpoly import valuation

@@ -1,11 +1,13 @@
 """src/ holds what the package itself or the benchmark reaches.
 
-Every top-level function and class of a hybridqmc module must be named by a
-Name or Attribute node somewhere else in src/ (not inside its own definition,
-and not in __init__.py, whose re-exports reach nothing by themselves) or in
-bench/.  The benchmark's tracer also binds names by string through getattr,
-so a string constant in bench/ that spells the name counts as a reference.
-A function that only tests call belongs in tests/, as their reference.
+Every top-level function and class of a hybridqmc module, and every method
+and property of such a class other than the double-underscore ones Python
+calls by itself, must be named by a Name or Attribute node somewhere else in
+src/ (not inside its own definition, and not in __init__.py, whose
+re-exports reach nothing by themselves) or in bench/.  The benchmark's
+tracer also binds names by string through getattr, so a string constant in
+bench/ that spells the name counts as a reference.  A function that only
+tests call belongs in tests/, as their reference.
 """
 
 import ast
@@ -41,21 +43,43 @@ def _unreached() -> list:
         bench |= _references(ast.parse(path.read_text(), path.name), strings=True)
     unreached = []
     for name, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for node, label in _definitions(tree):
             if node.name in bench or any(
                 node.name in _references(other, node if other is tree else None)
                 for other in trees.values()
             ):
                 continue
-            unreached.append(f"{name}:{node.name}")
+            unreached.append(f"{name}:{label}")
     return unreached
+
+
+def _definitions(tree):
+    """(node, label) of every top-level function and class, and of every
+    method and property of those classes that is not a dunder."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node, node.name
+        for member in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(member, ast.FunctionDef) and not (
+                member.name.startswith("__") and member.name.endswith("__")
+            ):
+                yield member, f"{node.name}.{member.name}"
 
 
 def test_the_modules_and_the_bench_are_found():
     assert {"cli.py", "walsh.py"} <= {path.name for path in MODULES}
     assert "tracing.py" in {path.name for path in BENCH}
+
+
+def test_methods_and_properties_are_scanned():
+    labels = {
+        label
+        for path in MODULES
+        for _, label in _definitions(ast.parse(path.read_text(), path.name))
+    }
+    assert {"Poly._raw", "Poly.degree", "Certificate.per_level", "BasePRational.digit"} <= labels
+    assert not any(label.endswith(("__init__", "__hash__", "__post_init__")) for label in labels)
 
 
 def test_every_top_level_definition_is_reached():

@@ -289,7 +289,8 @@ def test_dual_weight_sum_matches_frequency_enumeration():
                         ]
                         got = _dual_weight_sum(cfg, B, d)
                         assert isinstance(got, Fraction)
-                        assert _modulus_bound(cfg, B, d) == min(
+                        bound = _modulus_bound(cfg, B)[d]
+                        assert Fraction(bound, p**m * (3 * p) ** t) == min(
                             Fraction(t, p ** (m - d)) + p**d * got, p**d
                         )
                         if p == 2:
@@ -394,3 +395,32 @@ def test_certificate_class_bounds_match_per_level_sums(p, m, q, total, shapes):
             checked += 1
     assert checked == shapes
     assert cert.total == total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_modulus_bound_entries_are_the_sublattice_bounds(data):
+    # entry d of the bound tuple of B, over p^m * (3p)^t, is the Walsh bound
+    # of every sub-lattice of modulus B with digit freedom d, and its value
+    # from the point-sum reference
+    p = data.draw(st.sampled_from((2, 3, 5)), label="p")
+    m = data.draw(st.integers(1, 4), label="m")
+    t = data.draw(st.integers(1, 3), label="t")
+    pX = data.draw(st.sampled_from(_irreducibles(p, m)), label="pX")
+    qvec = data.draw(st.lists(st.integers(1, p**m - 1), min_size=t, max_size=t), label="q")
+    cfg = LatticeConfig(p, pX, tuple(poly_from_int(q, p) for q in qvec))
+    k = data.draw(st.integers(0, m), label="deg B")
+    B = poly_from_int(p**k + data.draw(st.integers(0, p**k - 1), label="B low"), p)
+    assume(B != pX)
+    bounds = _modulus_bound(cfg, B)
+    assert len(bounds) == m - k + 1
+    for d, bound in enumerate(bounds):
+        u = k + d
+        start = data.draw(st.integers(0, p ** (m - u) - 1), label="block") * p**u
+        residue = poly_from_int(data.draw(st.integers(0, p**k - 1), label="R"), p)
+        spec = SubLatticeSpec(u, start, ResidueClass(B, residue))
+        expected = walsh_discrepancy_bound(spec, cfg)
+        assert type(expected) is Fraction
+        assert Fraction(bound, p**m * (3 * p) ** t) == expected
+        ref = _dual_weight_sum_per_level(cfg, B, d)
+        assert expected == min(Fraction(t, p ** (m - d)) + p**d * ref, p**d)
