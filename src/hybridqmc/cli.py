@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--bases", help="comma-separated Halton base polynomials")
     gen.add_argument("--q", help="comma-separated generator polynomials")
     gen.add_argument("--g", help="Korobov generator polynomial")
-    gen.add_argument("--t", type=int, help="number of Korobov components")
+    gen.add_argument("--t", type=_int_at_least("t", 1), help="number of Korobov components")
     gen.add_argument("--count", type=int, help="number of points")
     gen.add_argument("--n", type=int, help="emit the single point of this index")
     gen.add_argument("--format", choices=["rational", "decimal"], default="rational")
@@ -85,15 +85,15 @@ def _build_parser() -> _Parser:
     disc.add_argument("--bases")
     disc.add_argument("--q")
     disc.add_argument("--g")
-    disc.add_argument("--t", type=int)
+    disc.add_argument("--t", type=_int_at_least("t", 1))
     disc.add_argument("--budget", type=int)
     disc.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     search = sub.add_parser("search", help="generator search with certificates")
     search.add_argument("mode", choices=["exhaustive", "korobov"])
     search.add_argument("--p", type=int, required=True)
-    search.add_argument("--m", type=int, required=True)
-    search.add_argument("--t", type=int, default=1)
+    search.add_argument("--m", type=_int_at_least("m", 1), required=True)
+    search.add_argument("--t", type=_int_at_least("t", 1), default=1)
     search.add_argument("--px", help="modulus (default: smallest irreducible)")
     search.add_argument("--bases", default="", help="Halton bases (may be empty)")
     search.add_argument("--budget", type=int)

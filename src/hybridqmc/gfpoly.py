@@ -293,10 +293,7 @@ def poly_is_irreducible(a: Poly) -> bool:
     power = x
     for _ in range(d // 2):
         power = poly_pow_mod(power, a.p, a)  # X^(p^k) mod a
-        r0, r1 = a, power - x
-        while not r1.is_zero:
-            r0, r1 = r1, r0 % r1
-        if r0.degree > 0:
+        if poly_gcd(a, power - x).degree > 0:
             return False
     return True
 

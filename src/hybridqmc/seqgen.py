@@ -249,11 +249,11 @@ def hybrid_point(n: int, m: int, cfg: HaltonConfig, lattice: LatticeConfig) -> t
     return (anchor,) + halton_point(n, cfg) + plattice_point_laurent(n, lattice)
 
 
-def hybrid_point_set(m: int, cfg: HaltonConfig, lattice: LatticeConfig, count: int | None = None) -> list:
-    """The first `count` hybrid points (default: all p^m)."""
+def hybrid_point_set(m: int, cfg: HaltonConfig, lattice: LatticeConfig) -> list:
+    """All p^m hybrid points."""
     if lattice.m != m:
         raise ValueError("lattice modulus degree must equal m")
-    return list(digital_points(lattice.n_points if count is None else count, cfg, lattice))
+    return list(digital_points(lattice.n_points, cfg, lattice))
 
 
 def digital_points(count: int, halton: HaltonConfig | None, lattice: LatticeConfig | None):

@@ -179,18 +179,14 @@ def suite_walshbound():
 
 
 def suite_weightsum():
-    """Closed-form total Walsh weight equals direct summation
-    (exact at p=2, 1e-9 otherwise); p in {2,3,5}, m <= 3, t <= 3."""
+    """Closed-form total Walsh weight equals direct summation in Q(zeta_p),
+    exactly for every prime; p in {2,3,5}, m <= 3, t <= 3."""
     for p in (2, 3, 5):
         for m in range(1, 4):
             for t in range(1, 4):
                 closed = walsh_weight_total(p, m, t, "closed")
                 direct = walsh_weight_total(p, m, t, "direct")
-                if p == 2:
-                    ok = closed == direct
-                else:
-                    ok = abs(float(closed) - direct) <= 1e-9
-                if not ok:
+                if closed != direct:
                     raise _Counterexample(
                         f"p={p} m={m} t={t}",
                         f"closed {float(closed)} != direct {float(direct)}",

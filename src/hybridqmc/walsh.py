@@ -4,8 +4,8 @@ Character sums over a sub-lattice are held as exponent-count
 accumulators so the central zero-or-full dichotomy is decided in exact
 integer arithmetic, with no complex value formed.  The
 weight attached to a frequency k with leading base-p digit K at level g
-is 1 / (p^(g+1) * sin(pi*K/p)^2), which is exactly 2^-(g+1) for p = 2
-and makes the closed-form total weight identity exact for every prime.
+is 1 / (p^(g+1) * sin(pi*K/p)^2), held exactly for every prime by its
+rational coordinates in the cyclotomic field Q(zeta), zeta = e(1/p).
 The Walsh bound sums these weights over the dual of a sub-lattice from
 the sub-lattice's points, where the weighted Walsh series is rational,
 so bounds are exact rationals for every prime.  As {l*B*q/pX} =
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,35 +62,37 @@ def walsh_exponent_vec(kvec, point) -> int:
     return sum(walsh_exponent(k, x) for k, x in zip(kvec, point)) % p
 
 
-def walsh_weight(k: int, p: int):
-    """Decay weight of frequency k; exact dyadic for p = 2, float otherwise."""
+def walsh_weight(k: int, p: int) -> tuple:
+    """Decay weight of frequency k as its coordinates c_0..c_(p-1) in
+    Q(zeta), zeta = e(1/p): the weight is sum_s c_s * zeta^s.  As
+    1/(1 - zeta) = -(1/p) sum_i i*zeta^i, 1/sin(pi/p)^2 =
+    4/((1 - zeta)(1 - zeta^-1)) has c_s = (4/p^2) sum_i i*((i - s) mod p);
+    the leading digit K maps zeta to zeta^K, moving the coordinate at s to
+    s*K mod p, and the level g adds the factor p^-(g+1)."""
     if k < 0:
         raise ValueError("frequency must be >= 0")
+    coords = [Fraction(0)] * p
     if k == 0:
-        return Fraction(1) if p == 2 else 1.0
+        coords[0] = Fraction(1)
+        return tuple(coords)
     g = 0
     lead = k
     while lead >= p:
         lead //= p
         g += 1
-    if p == 2:
-        return Fraction(1, 2 ** (g + 1))
-    return 1.0 / (p ** (g + 1) * math.sin(math.pi * lead / p) ** 2)
+    for s in range(p):
+        coords[s * lead % p] = Fraction(4 * sum(i * ((i - s) % p) for i in range(p)), p ** (g + 3))
+    return tuple(coords)
 
 
-def walsh_weight_vec(kvec, p: int):
-    """Product weight over the components of a frequency tuple."""
-    w = Fraction(1) if p == 2 else 1.0
-    for k in kvec:
-        w *= walsh_weight(k, p)
-    return w
-
-
-def walsh_weight_total(p: int, m: int, t: int, mode: str = "closed"):
+def walsh_weight_total(p: int, m: int, t: int, mode: str = "closed") -> Fraction:
     """Total weight over all frequency tuples below p^m per component.
 
-    closed: (1 + m*(p^2-1)/(3p))^t, exact rational.
-    direct: literal summation of the product weights; exact for p = 2.
+    closed: (1 + m*(p^2-1)/(3p))^t.
+    direct: the p^m weights summed one by one in Q(zeta), whose sum is
+    rational (equal coordinates at zeta^1..zeta^(p-1), as 1 + zeta + ... +
+    zeta^(p-1) = 0), to the power t: by distributivity, the sum of the
+    product weights over all p^(mt) tuples.
     """
     if m < 1 or t < 0:
         raise ValueError("need m >= 1 and t >= 0")
@@ -99,12 +100,10 @@ def walsh_weight_total(p: int, m: int, t: int, mode: str = "closed"):
         return (1 + Fraction(m * (p * p - 1), 3 * p)) ** t
     if mode != "direct":
         raise ValueError(f"unknown mode {mode!r}")
-    per_k = [walsh_weight(k, p) for k in range(p**m)]
-    terms = (
-        math.prod(per_k[k] for k in kvec)
-        for kvec in itertools.product(range(p**m), repeat=t)
-    )
-    return sum(terms, Fraction(0)) if p == 2 else math.fsum(terms)
+    sums = [sum(coords) for coords in zip(*(walsh_weight(k, p) for k in range(p**m)))]
+    if len(set(sums[1:])) != 1:
+        raise ArithmeticError("weight sum is not rational")
+    return (sums[0] - sums[1]) ** t
 
 
 @dataclass(frozen=True)
@@ -189,15 +188,13 @@ def _combined_numerator(cfg: LatticeConfig, kvec) -> Poly:
 
 @functools.lru_cache(maxsize=512)
 def _combined_residues(cfg: LatticeConfig) -> tuple:
-    """(kvec, (sum_i k_i*q_i) mod pX, weight) for every nonzero frequency
-    tuple: the frequency side of the dual weight sum, kept as a desk-scale
+    """(kvec, (sum_i k_i*q_i) mod pX) for every nonzero frequency tuple:
+    the frequency side of the dual weight sum, kept as a desk-scale
     reference for _shape_sums."""
     out = []
     for kvec in itertools.product(range(cfg.p**cfg.m), repeat=cfg.t):
         if any(kvec):
-            out.append(
-                (kvec, _combined_numerator(cfg, kvec), walsh_weight_vec(kvec, cfg.p))
-            )
+            out.append((kvec, _combined_numerator(cfg, kvec)))
     return tuple(out)
 
 
@@ -322,7 +319,6 @@ def _rank_profile(pX: Poly, code: int) -> tuple:
     return tuple(sums)
 
 
-@functools.lru_cache(maxsize=4096)
 def _shape_sums(cfg: LatticeConfig, modulus: Poly) -> tuple:
     """S_d = sum_l prod_i 3p*phi(x_i(l)) over the p^d points l*B, deg l < d,
     for every d = 0..m - deg B.  As {l*B*q_i/pX} = {l*r_i/pX} with

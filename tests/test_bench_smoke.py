@@ -78,7 +78,6 @@ def test_workload_setup_leaves_caches_cold():
     sizes = json.loads(proc.stdout)
     assert {
         "hybridqmc.walsh._modulus_bound",
-        "hybridqmc.walsh._shape_sums",
         "hybridqmc.walsh._unit_group",
         "hybridqmc.walsh._rank_profile",
         "hybridqmc.walsh._combined_residues",

@@ -318,6 +318,25 @@ def test_gen_count_errors_write_nothing(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("search", "exhaustive", "--p", "2", "--m", "3", "--t", "-1"), "t must be >= 1"),
+        (("search", "korobov", "--p", "2", "--m", "0"), "m must be >= 1"),
+        (("search", "exhaustive", "--p", "2", "--m", "-2"), "m must be >= 1"),
+        (("gen", "korobov", "--p", "2", "--px", "X^2+X+1", "--g", "X", "--t", "0"), "t must be >= 1"),
+        (("gen", "korobov", "--p", "2", "--px", "X^2+X+1", "--g", "X", "--t", "-1"), "t must be >= 1"),
+        (("disc", "certificate", "--p", "2", "--px", "X^2+X+1", "--g", "X", "--t", "0"), "t must be >= 1"),
+    ],
+)
+def test_m_and_t_below_one_are_usage_errors(tmp_path, capsys, argv, message):
+    # parsed like --top and --precision: exit 1 before any work, nothing written
+    output = ("--output", str(tmp_path / "out.txt")) if argv[0] != "disc" else ()
+    code, out, err = run(capsys, *argv, *output)
+    assert code == 1 and out == "" and err.startswith("usage error") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv, code, out",
     [
         (

@@ -83,7 +83,6 @@ def test_shape_sums_at_t2_only_read_the_table(monkeypatch):
         for module in (plattice, gfpoly, walsh):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, fn))
-    _shape_sums.cache_clear()
     sums = [_shape_sums(cfg, poly_from_int(b, p)) for b in range(1, 2**4)]
     assert calls == []
     assert [len(s) for s in sums] == [7, 6, 6, 5, 5, 5, 5, 4, 4, 4, 4, 4, 4, 4, 4]
@@ -92,7 +91,7 @@ def test_shape_sums_at_t2_only_read_the_table(monkeypatch):
 def test_t1_search_builds_one_rank_profile_per_residue():
     # r = X^j * q mod pX over 63 candidates and 7 shapes: 63 distinct units
     pX = irreducible_poly(2, 6)
-    for cache in (_modulus_bound, _shape_sums, _rank_profile, _unit_group):
+    for cache in (_modulus_bound, _rank_profile, _unit_group):
         cache.cache_clear()
     search_exhaustive(6, 1, HaltonConfig.make(2, (Poly.x(2),)), pX)
     assert 0 < _rank_profile.cache_info().misses <= 63

@@ -44,7 +44,6 @@ from hybridqmc.walsh import (
     walsh_exponent_vec,
     walsh_weight,
     walsh_weight_total,
-    walsh_weight_vec,
 )
 
 
@@ -81,14 +80,53 @@ def test_walsh_exponent_matches_complex_product():
         assert abs(expected - got) < 1e-9
 
 
+def _rational(coords):
+    # the value of sum_s c_s zeta^s, zeta = e(1/p), when it is rational: as
+    # 1 + zeta + ... + zeta^(p-1) = 0, equal coordinates at zeta^1..zeta^(p-1)
+    # add up to -c_1
+    assert len(set(coords[1:])) == 1, coords
+    return coords[0] - coords[1]
+
+
+def _times(a, b):
+    # product in Q(zeta_p): x -> zeta maps Q[x]/(x^p - 1) onto it, so
+    # coordinates multiply by cyclic convolution
+    p = len(a)
+    out = [0] * p
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[(i + j) % p] += x * y
+    return out
+
+
 def test_weight_examples():
-    assert walsh_weight(0, 2) == 1
-    assert walsh_weight(1, 2) == Fraction(1, 2)
+    assert walsh_weight(0, 2) == (1, 0)
+    assert walsh_weight(1, 2) == (Fraction(1, 2), 0)
     # squared-sine convention: 1/(3*sin(pi/3)^2) = 4/9
-    assert abs(walsh_weight(1, 3) - 4 / 9) < 1e-12
-    assert walsh_weight(2, 2) == Fraction(1, 4)
-    assert walsh_weight(3, 2) == Fraction(1, 4)
-    assert walsh_weight_vec((1, 3), 2) == Fraction(1, 8)
+    assert walsh_weight(1, 3) == (Fraction(20, 27), Fraction(8, 27), Fraction(8, 27))
+    assert _rational(walsh_weight(1, 3)) == Fraction(4, 9)
+    assert walsh_weight(2, 2) == (Fraction(1, 4), 0)
+    assert walsh_weight(3, 2) == (Fraction(1, 4), 0)
+    assert _rational(_times(walsh_weight(1, 2), walsh_weight(3, 2))) == Fraction(1, 8)
+    # 1/(5*sin(pi/5)^2) is irrational: its coordinates at zeta^1..zeta^4 differ
+    assert len(set(walsh_weight(1, 5)[1:])) == 2
+    with pytest.raises(ValueError):
+        walsh_weight(-1, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_weight_coordinates_match_the_sine_formula(p):
+    # float oracle: the real part of sum_s c_s e(s/p) against
+    # 1/(p^(g+1) sin(pi*K/p)^2) for level g and leading digit K
+    assert walsh_weight(0, p) == (1,) + (0,) * (p - 1)
+    for k in range(1, p**3):
+        coords = walsh_weight(k, p)
+        assert all(type(c) is Fraction for c in coords)
+        g = len(poly_from_int(k, p).coeffs) - 1
+        expected = 1 / (p ** (g + 1) * math.sin(math.pi * (k // p**g) / p) ** 2)
+        got = sum(float(c) * math.cos(2 * math.pi * s / p) for s, c in enumerate(coords))
+        assert abs(got - expected) <= 1e-12 * expected
 
 
 def test_weight_total_examples():
@@ -96,7 +134,8 @@ def test_weight_total_examples():
     assert walsh_weight_total(2, 2, 1, "direct") == 2
     assert walsh_weight_total(2, 1, 1) == Fraction(3, 2)
     assert walsh_weight_total(7, 3, 0) == 1
-    assert walsh_weight_total(7, 3, 0, "direct") == 1.0
+    assert walsh_weight_total(7, 3, 0, "direct") == 1
+    assert walsh_weight_total(7, 1, 1, "direct") == 1 + Fraction(48, 21)
     with pytest.raises(ValueError):
         walsh_weight_total(2, 2, 1, "bogus")
 
@@ -105,12 +144,26 @@ def test_weight_total_closed_equals_direct():
     for p in (2, 3, 5):
         for m in (1, 2, 3):
             for t in (1, 2, 3):
-                closed = walsh_weight_total(p, m, t)
                 direct = walsh_weight_total(p, m, t, "direct")
-                if p == 2:
-                    assert closed == direct
-                else:
-                    assert abs(float(closed) - direct) <= 1e-9
+                assert type(direct) is Fraction
+                assert direct == walsh_weight_total(p, m, t)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_scaled_phi_is_the_weighted_walsh_series(p):
+    # 3p*phi(x) from the closed form equals the literal series
+    # sum_(k < p^m) w(k) * zeta^walsh_exponent(k, x) in Q(zeta_p), exactly,
+    # for every m-digit x; multiplying by zeta^e rotates the coordinates by e
+    for m in range(1, 4):
+        weights = [walsh_weight(k, p) for k in range(p**m)]
+        for num in range(p**m):
+            x = BasePRational(p, num, m)
+            series = [Fraction(0)] * p
+            for k, w in enumerate(weights):
+                e = walsh_exponent(k, x)
+                for s, c in enumerate(w):
+                    series[(s + e) % p] += c
+            assert 3 * p * _rational(series) == _scaled_phi(x.digits(), p)
 
 
 def test_accumulator_invariants():
@@ -255,9 +308,18 @@ def _dual_weight_sum(cfg, modulus, d):
     return Fraction(_shape_sums(cfg, modulus)[d], cfg.p**d * (3 * cfg.p) ** cfg.t) - 1
 
 
+def _scaled_weight(k, p, m):
+    # p^(m+2) * walsh_weight(k, p) for k < p^m, whose coordinates are integers
+    scaled = [c * p ** (m + 2) for c in walsh_weight(k, p)]
+    assert all(c.denominator == 1 for c in scaled), (k, p, m)
+    return [c.numerator for c in scaled]
+
+
 def test_dual_weight_sum_matches_frequency_enumeration():
-    # reference: the weights of every nonzero frequency tuple whose combined
-    # residue times B sinks below X^-d, enumerated over all p^(mt) tuples
+    # reference: the product weights of every nonzero frequency tuple whose
+    # combined residue times B sinks below X^-d, enumerated over all p^(mt)
+    # tuples and multiplied out in Q(zeta_p) on integer coordinates scaled
+    # by p^(m+2) per component
     rng = random.Random(1808)
     checks = 0
     for p in (2, 3, 5):
@@ -272,9 +334,13 @@ def test_dual_weight_sum_matches_frequency_enumeration():
                 cfg = LatticeConfig(
                     p, pX, tuple(poly_from_int(rng.randrange(1, p**m), p) for _ in range(t))
                 )
+                weights = [_scaled_weight(k, p, m) for k in range(p**m)]
                 by_residue = {}
-                for _kvec, combined, weight in _combined_residues(cfg):
-                    by_residue.setdefault(combined, []).append(weight)
+                for kvec, combined in _combined_residues(cfg):
+                    product = functools.reduce(_times, (weights[k] for k in kvec))
+                    acc = by_residue.setdefault(combined, [0] * p)
+                    for s, c in enumerate(product):
+                        acc[s] += c
                 for B in moduli:
                     if poly_gcd(B, pX).degree != 0:
                         continue
@@ -284,20 +350,15 @@ def test_dual_weight_sum_matches_frequency_enumeration():
                     if B.degree < m:
                         vals = {c: valuation((c * B) % pX, pX) for c in by_residue}
                     for d in range(m - B.degree + 1):
-                        ref = [
-                            w for c, ws in by_residue.items() if d == 0 or vals[c] < -d for w in ws
-                        ]
+                        dual = [acc for c, acc in by_residue.items() if d == 0 or vals[c] < -d]
+                        ref = [sum(column) for column in zip([0] * p, *dual)]
                         got = _dual_weight_sum(cfg, B, d)
                         assert isinstance(got, Fraction)
                         bound = _modulus_bound(cfg, B)[d]
                         assert Fraction(bound, p**m * (3 * p) ** t) == min(
                             Fraction(t, p ** (m - d)) + p**d * got, p**d
                         )
-                        if p == 2:
-                            assert got == sum(ref, Fraction(0))
-                        else:
-                            expected = math.fsum(ref)
-                            assert abs(float(got) - expected) <= 1e-9 * expected
+                        assert got == Fraction(_rational(ref), p ** ((m + 2) * t))
                         checks += 1
     assert checks == 1896
 
