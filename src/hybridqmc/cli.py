@@ -60,6 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hybridqmc", description=__doc__)
+    budget = _int_at_least("budget", 1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a point set")
@@ -86,7 +87,7 @@ def _build_parser() -> _Parser:
     disc.add_argument("--q")
     disc.add_argument("--g")
     disc.add_argument("--t", type=_int_at_least("t", 1))
-    disc.add_argument("--budget", type=int)
+    disc.add_argument("--budget", type=budget)
     disc.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     search = sub.add_parser("search", help="generator search with certificates")
@@ -96,7 +97,7 @@ def _build_parser() -> _Parser:
     search.add_argument("--t", type=_int_at_least("t", 1), default=1)
     search.add_argument("--px", help="modulus (default: smallest irreducible)")
     search.add_argument("--bases", default="", help="Halton bases (may be empty)")
-    search.add_argument("--budget", type=int)
+    search.add_argument("--budget", type=budget)
     search.add_argument("--top", type=_int_at_least("top", 0), default=10)
     search.add_argument("--output", help="report file (default: stdout)")
     search.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)

@@ -29,9 +29,9 @@ from math import lcm, prod
 import numpy as _np
 
 from .gfpoly import BasePRational, ParseError, Poly, as_prime
-from .plattice import LatticeConfig, coprime_to_irreducible
+from .plattice import LatticeConfig, _irreducible_modulus, coprime_to_irreducible
 from .seqgen import HaltonConfig
-from .walsh import _modulus_bound
+from .walsh import _batch_bounds
 
 DEFAULT_ORACLE_BUDGET = 10**8
 
@@ -265,20 +265,29 @@ class LevelBreakdown:
 @dataclass(frozen=True)
 class Certificate:
     """The hybrid discrepancy bound as integer numerators over p^m * (3p)^t:
-    level values u = 0..m and class bounds; per_level is built on first read."""
+    the total, level values u = 0..m and class bounds; the total's Fraction
+    and per_level are built on first read."""
 
     p: int
     m: int
     s: int
     t: int
-    total: Fraction
+    total_numerator: int
     level_numerators: tuple
     shape_numerators: tuple
     table: tuple
 
+    @property
+    def denominator(self) -> int:
+        return self.p**self.m * (3 * self.p) ** self.t
+
+    @functools.cached_property
+    def total(self) -> Fraction:
+        return Fraction(self.total_numerator, self.denominator)
+
     @functools.cached_property
     def per_level(self) -> tuple:
-        den = self.p**self.m * (3 * self.p) ** self.t
+        den = self.denominator
         levels = [LevelBreakdown(0, Fraction(1), ())]
         rows = zip(self.level_numerators[1:], self.table, self.shape_numerators)
         for u, (num, table, nums) in enumerate(rows, start=1):
@@ -332,10 +341,10 @@ def _shape_table(bases: tuple, pX: Poly) -> tuple:
     return tuple(levels)
 
 
-def discrepancy_certificate(
-    m: int, halton_cfg: HaltonConfig, lattice_cfg: LatticeConfig
-) -> Certificate:
-    """Computable upper bound on N~ * D* of every hybrid prefix N~ <= p^m.
+def certificates(m: int, halton_cfg: HaltonConfig, pX: Poly, qvecs) -> list:
+    """The Certificate of every generator tuple of qvecs, in input order: a
+    computable upper bound on N~ * D* of every hybrid prefix N~ <= p^m for
+    the Halton part halton_cfg and the lattice on pX with those generators.
 
     Levels u = 0..m bound the worst aligned block of p^u indices; at each
     level the anchored-box decomposition is grouped by modulus shape
@@ -344,26 +353,52 @@ def discrepancy_certificate(
     modulus degree exceeds u).  The multiplicity is prod (p^(e_i) - 1),
     with one extra class at j_i = ceil(u/e_i) covering boxes that span a
     full coordinate.  Class bounds, level values and the total are summed
-    as integers over p^m * (3p)^t; only the total becomes a Fraction here.
+    as integers over p^m * (3p)^t; the class bounds of every shape and
+    candidate come from one walsh batch, which builds one bound tuple per
+    residue.
     """
-    p = halton_cfg.p
-    if lattice_cfg.p != p:
+    p, qvecs = halton_cfg.p, [tuple(qvec) for qvec in qvecs]
+    if pX.p != p:
         raise ValueError("prime mismatch between Halton and lattice parts")
-    if lattice_cfg.m != m:
+    if pX.degree != m:
         raise ValueError("lattice modulus degree must equal m")
-    t = lattice_cfg.t
+    if not pX.is_monic or not _irreducible_modulus(pX):
+        raise ValueError("modulus must be monic irreducible")
+    if not qvecs:
+        return []
+    t = len(qvecs[0])
+    for qvec in qvecs:
+        if len(qvec) != t or not all(q.p == p and 0 <= q.degree < m for q in qvec):
+            raise ValueError(f"need {t} nonzero generators of degree < m over GF({p}) each")
     den = p**m * (3 * p) ** t
-    tables = _shape_table(halton_cfg.bases, lattice_cfg.modulus)
-    levels, shapes = [den], []
-    for u, table in enumerate(tables, start=1):
-        nums = tuple(
-            den if modulus is None else _modulus_bound(lattice_cfg, modulus)[u - deg_b]
-            for _, deg_b, _, modulus in table
+    tables = _shape_table(halton_cfg.bases, pX)
+    moduli = list(dict.fromkeys(mod for table in tables for *_, mod in table if mod is not None))
+    bounds = dict(zip(moduli, _batch_bounds(pX, moduli, qvecs)))
+    # per level: (multiplicity, d, bound tuples per candidate or None for d < 0)
+    rows = [
+        [(mult, u - deg_b, bounds.get(mod)) for _, deg_b, mult, mod in table]
+        for u, table in enumerate(tables, start=1)
+    ]
+    s_den = halton_cfg.s * den
+    out = []
+    for j in range(len(qvecs)):
+        levels, shapes = [den], []
+        for row in rows:
+            nums = tuple(den if col is None else col[j][d] for _, d, col in row)
+            levels.append(s_den + sum(mult * num for (mult, _, _), num in zip(row, nums)))
+            shapes.append(nums)
+        total = den + levels[m] + (p - 1) * sum(levels[:m])
+        out.append(
+            Certificate(p, m, halton_cfg.s, t, total, tuple(levels), tuple(shapes), tables)
         )
-        levels.append(halton_cfg.s * den + sum(sh[2] * num for sh, num in zip(table, nums)))
-        shapes.append(nums)
-    total = Fraction(den + levels[m] + (p - 1) * sum(levels[:m]), den)
-    return Certificate(p, m, halton_cfg.s, t, total, tuple(levels), tuple(shapes), tables)
+    return out
+
+
+def discrepancy_certificate(
+    m: int, halton_cfg: HaltonConfig, lattice_cfg: LatticeConfig
+) -> Certificate:
+    """The certificate of one lattice configuration: a batch of one."""
+    return certificates(m, halton_cfg, lattice_cfg.modulus, [lattice_cfg.generators])[0]
 
 
 _HEADER_KEYS = ("p", "m", "dim", "count")

@@ -1,9 +1,10 @@
 """Constructive generator search with certificate merits and counting checks.
 
 The searches certify every candidate generator tuple (or Korobov power
-tuple) with the full discrepancy certificate and rank by (merit, integer
-encoding); since the best merit never exceeds the candidate average, the
-searches realize the averaging existence argument constructively.  The
+tuple) with the full discrepancy certificate, all in one batch, and rank
+by (merit, integer encoding); since the best merit never exceeds the
+candidate average, the searches realize the averaging existence argument
+constructively.  The
 counting helpers classify, for a fixed frequency tuple, how many
 candidates annihilate it outright versus merely sink it below X^-d.
 """
@@ -20,7 +21,7 @@ from .discrepancy import (
     BudgetExceededError,
     Certificate,
     PointSetD,
-    discrepancy_certificate,
+    certificates,
     prefix_discrepancies,
 )
 from .gfpoly import (
@@ -72,9 +73,12 @@ def _candidates(mode: str, t: int, pX: Poly, budget: int | None = None):
 @dataclass(frozen=True)
 class MeritReport:
     candidate: tuple
-    merit: object
     certificate: Certificate
     rank: int
+
+    @property
+    def merit(self) -> Fraction:
+        return self.certificate.total
 
     @property
     def encoding(self) -> tuple:
@@ -132,21 +136,26 @@ class SearchResult:
 
 
 def _certify_candidates(mode, m, halton_cfg, pX, candidates) -> SearchResult:
-    p = halton_cfg.p
-    scored = []
-    total = Fraction(0)
-    for qvec in candidates:
-        cfg = LatticeConfig(p, pX, qvec)
-        cert = discrepancy_certificate(m, halton_cfg, cfg)
-        scored.append((cert.total, tuple(poly_to_int(q) for q in qvec), qvec, cert))
-        total += cert.total
-    scored.sort(key=lambda item: (item[0], item[1]))
-    reports = tuple(
-        MeritReport(qvec, merit, cert, rank)
-        for rank, (merit, _, qvec, cert) in enumerate(scored, start=1)
+    """Certify the candidates as one batch, rank them by (total numerator,
+    encoding), and check the best one's class bounds against the per-shape
+    route and its merit against the candidate average."""
+    qvecs = list(candidates)
+    certs = certificates(m, halton_cfg, pX, qvecs)
+    scored = sorted(
+        zip(certs, qvecs),
+        key=lambda item: (item[0].total_numerator, tuple(poly_to_int(q) for q in item[1])),
     )
-    average = total / len(scored)
-    result = SearchResult(mode, p, m, len(reports[0].candidate), halton_cfg, pX, reports, average)
+    reports = tuple(
+        MeritReport(qvec, cert, rank) for rank, (cert, qvec) in enumerate(scored, start=1)
+    )
+    best = reports[0].certificate
+    cfg = LatticeConfig(pX.p, pX, reports[0].candidate)
+    for u, (table, nums) in enumerate(zip(best.table, best.shape_numerators), start=1):
+        for (_, deg_b, _, modulus), num in zip(table, nums):
+            if modulus is not None and _modulus_bound(cfg, modulus)[u - deg_b] != num:
+                raise ArithmeticError("best candidate's class bound differs from its shape bound")
+    average = Fraction(sum(c.total_numerator for c in certs), len(certs) * best.denominator)
+    result = SearchResult(mode, pX.p, m, best.t, halton_cfg, pX, reports, average)
     if not result.existence_ok:
         raise ArithmeticError("search minimum exceeds the candidate average")
     return result
@@ -272,19 +281,13 @@ def negative_control_report(m: int, pX: Poly, t: int = 2) -> dict:
     p = pX.p
     halton0 = HaltonConfig.make(p, ())
     korobov = search_korobov(m, t, halton0, pX)
-    shifted = []
     # at t = 1 the shifted family is the one tuple (1,), certified once
-    for g in nonzero_polys(p, m) if t > 1 else [Poly.one(p)]:
-        qvec = (Poly.one(p),) + (korobov_qvec(g, t - 1, pX) if t > 1 else ())
-        cfg = LatticeConfig(p, pX, qvec)
-        cert = discrepancy_certificate(m, halton0, cfg)
-        shifted.append(
-            {
-                "g": str(g),
-                "candidate": [str(q) for q in qvec],
-                "merit": float(cert.total),
-            }
-        )
+    gens = nonzero_polys(p, m) if t > 1 else [Poly.one(p)]
+    qvecs = [(Poly.one(p),) + (korobov_qvec(g, t - 1, pX) if t > 1 else ()) for g in gens]
+    shifted = [
+        {"g": str(g), "candidate": [str(q) for q in qvec], "merit": float(cert.total)}
+        for g, qvec, cert in zip(gens, qvecs, certificates(m, halton0, pX, qvecs))
+    ]
     pair = prefix_discrepancies(anchor_pair_set(m, pX))
     worst = max(pair)
     worst_nn = pair.index(worst) + 1

@@ -319,37 +319,96 @@ def _rank_profile(pX: Poly, code: int) -> tuple:
     return tuple(sums)
 
 
+def _table_sums(pX: Poly, shifts, dmax: int) -> tuple:
+    """S_d for d = 0..dmax at t = len(shifts) >= 2, shifts[i] = log r_i in
+    pX's unit-group table: the term of l is (3p + m(p^2-1))^t at l = 0,
+    then prod_i F[log l + log r_i] for l = 1, 2, ... in encoding order,
+    whose first p^d are deg l < d."""
+    p, m, t = pX.p, pX.degree, len(shifts)
+    log, F = _unit_group(pX)
+    logs = log[1 : p**dmax]
+    columns = (map(F.__getitem__, map(shift.__add__, logs)) for shift in shifts)
+    terms = functools.reduce(functools.partial(map, operator.mul), columns)
+    prefix = list(itertools.accumulate(terms, initial=(3 * p + m * (p * p - 1)) ** t))
+    return tuple(prefix[p**d - 1] for d in range(dmax + 1))
+
+
 def _shape_sums(cfg: LatticeConfig, modulus: Poly) -> tuple:
     """S_d = sum_l prod_i 3p*phi(x_i(l)) over the p^d points l*B, deg l < d,
     for every d = 0..m - deg B.  As {l*B*q_i/pX} = {l*r_i/pX} with
     r_i = B*q_i mod pX, S_d depends on r_i alone: at t = 1 it is read off
-    r_1's rank profile; at t >= 2 the term of l is (3p + m(p^2-1))^t at
-    l = 0, then prod_i F[log l + log r_i] from pX's unit-group table for
-    l = 1, 2, ... in encoding order, whose first p^d are deg l < d."""
+    r_1's rank profile; at t >= 2 off pX's unit-group table."""
     p, pX, dmax = cfg.p, cfg.modulus, cfg.m - modulus.degree
     b = (modulus * cfg.generators[0] if cfg.t == 1 else modulus) % pX  # r_1, or B mod pX
     if b.is_zero:
         raise ValueError("shape modulus is divisible by pX")
     if cfg.t == 1:
         return _rank_profile(pX, poly_to_int(b))[: dmax + 1]
-    log, F = _unit_group(pX)
-    logs, n = log[1 : p**dmax], len(F) // 2
+    log, n = _unit_group(pX)[0], p**cfg.m - 1
     shifts = [(log[poly_to_int(b)] + log[poly_to_int(q)]) % n for q in cfg.generators]
-    columns = (map(F.__getitem__, map(shift.__add__, logs)) for shift in shifts)
-    terms = functools.reduce(functools.partial(map, operator.mul), columns)
-    prefix = list(itertools.accumulate(terms, initial=(3 * p + cfg.m * (p * p - 1)) ** cfg.t))
-    return tuple(prefix[p**d - 1] for d in range(dmax + 1))
+    return _table_sums(pX, shifts, dmax)
+
+
+def _bound_tuple(p: int, m: int, t: int, sums) -> tuple:
+    """For every d, t*p^(d-m) plus p^d times the dual weight sum
+    p^-d * S_d/(3p)^t - 1, capped at p^d, as an integer over p^m * (3p)^t:
+    min(t*c + p^m*(S_d - c), p^m*c) with c = p^d*(3p)^t."""
+    pm, scale = p**m, (3 * p) ** t
+    caps = [p**d * scale for d in range(len(sums))]
+    return tuple(min(t * c + pm * (s - c), pm * c) for c, s in zip(caps, sums))
 
 
 @functools.lru_cache(maxsize=65536)
 def _modulus_bound(cfg: LatticeConfig, modulus: Poly) -> tuple:
-    """For every d = 0..m - deg B, t*p^(d-m) plus p^d times the dual weight
-    sum p^-d * S_d/(3p)^t - 1, capped at p^d, as an integer over
-    p^m * (3p)^t: min(t*c + p^m*(S_d - c), p^m*c) with c = p^d*(3p)^t."""
-    p, pm, scale = cfg.p, cfg.p**cfg.m, (3 * cfg.p) ** cfg.t
-    sums = _shape_sums(cfg, modulus)
-    caps = [p**d * scale for d in range(len(sums))]
-    return tuple(min(cfg.t * c + pm * (s - c), pm * c) for c, s in zip(caps, sums))
+    """The bound tuple of shape B = modulus for d = 0..m - deg B."""
+    return _bound_tuple(cfg.p, cfg.m, cfg.t, _shape_sums(cfg, modulus))
+
+
+def _batch_bounds(pX: Poly, moduli, qvecs) -> list:
+    """Per shape modulus B, _modulus_bound(LatticeConfig(p, pX, qvec), B) for
+    every qvec (at t = 1 running on to d = m), one tuple built per residue
+    and no Poly product.  At t = 1 the code of B*q mod pX is q's digits
+    times the columns B*X^j mod pX, stepped by pX's recurrence; at t >= 2
+    the residues are logs, log B + log q_i, sorted as the sum is symmetric."""
+    p, m = pX.p, pX.degree
+    t = len(qvecs[0])
+    low, powers, memo, out = pX.coeffs[:-1], [p**j for j in range(m)], {}, []
+    if t == 1:
+        digits = [qvec[0].coeffs for qvec in qvecs]
+    else:
+        log, n = _unit_group(pX)[0], p**m - 1
+        logs = [[log[poly_to_int(q)] for q in qvec] for qvec in qvecs]
+    for B in moduli:
+        b = B % pX
+        if b.is_zero:
+            raise ValueError("shape modulus is divisible by pX")
+        row = []
+        if t == 1:
+            column, columns = [*b.coeffs, *[0] * (m - len(b.coeffs))], []
+            for _ in range(m):  # X*r mod pX: shift up, less top * pX's low part
+                columns.append(column)
+                top = column[-1]
+                column = [(x - top * c) % p for x, c in zip([0, *column[:-1]], low)]
+            for qdigits in digits:
+                r = [0] * m
+                for a, col in zip(qdigits, columns):
+                    if a:
+                        r = [x + a * y for x, y in zip(r, col)]
+                code = sum(x % p * w for x, w in zip(r, powers))
+                bound = memo.get(code)
+                if bound is None:
+                    bound = memo[code] = _bound_tuple(p, m, 1, _rank_profile(pX, code))
+                row.append(bound)
+        else:
+            dmax, shift = m - B.degree, log[poly_to_int(b)]
+            for qlogs in logs:
+                key = (dmax, *sorted((shift + x) % n for x in qlogs))
+                bound = memo.get(key)
+                if bound is None:
+                    bound = memo[key] = _bound_tuple(p, m, t, _table_sums(pX, key[1:], dmax))
+                row.append(bound)
+        out.append(row)
+    return out
 
 
 def walsh_discrepancy_bound(spec: SubLatticeSpec, cfg: LatticeConfig) -> Fraction:

@@ -326,6 +326,10 @@ def test_gen_count_errors_write_nothing(tmp_path, capsys, argv, message):
         (("gen", "korobov", "--p", "2", "--px", "X^2+X+1", "--g", "X", "--t", "0"), "t must be >= 1"),
         (("gen", "korobov", "--p", "2", "--px", "X^2+X+1", "--g", "X", "--t", "-1"), "t must be >= 1"),
         (("disc", "certificate", "--p", "2", "--px", "X^2+X+1", "--g", "X", "--t", "0"), "t must be >= 1"),
+        (("search", "exhaustive", "--p", "2", "--m", "3", "--budget", "-1"), "budget must be >= 1"),
+        (("search", "korobov", "--p", "2", "--m", "3", "--budget", "0"), "budget must be >= 1"),
+        (("disc", "exact", "--input", "points.txt", "--budget", "0"), "budget must be >= 1"),
+        (("disc", "prefix", "--input", "points.txt", "--budget", "-1"), "budget must be >= 1"),
     ],
 )
 def test_m_and_t_below_one_are_usage_errors(tmp_path, capsys, argv, message):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -6,13 +7,14 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hybridqmc.discrepancy as disc
 from hybridqmc.discrepancy import (
     BudgetExceededError,
     PointSetD,
+    certificates,
     discrepancy_certificate,
     format_point_line,
     load_point_set,
@@ -24,8 +26,16 @@ from hybridqmc.discrepancy import (
     star_discrepancy_exact,
     write_atomic,
 )
-from hybridqmc.gfpoly import BasePRational, Poly, irreducible_poly, poly_from_int, poly_parse
-from hybridqmc.plattice import LatticeConfig
+from hybridqmc.gfpoly import (
+    BasePRational,
+    Poly,
+    irreducible_poly,
+    poly_from_int,
+    poly_is_irreducible,
+    poly_parse,
+)
+from hybridqmc.plattice import LatticeConfig, coprime_to_irreducible
+from hybridqmc.walsh import _modulus_bound
 from hybridqmc.seqgen import HaltonConfig, hybrid_point_set
 
 
@@ -298,6 +308,86 @@ def test_certificate_total_is_rebuilt_from_per_level(data):
     for lv in levels[1:]:
         assert all(type(sh.class_bound) is Fraction for sh in lv.shapes)
         assert lv.value == len(bases) + sum(sh.multiplicity * sh.class_bound for sh in lv.shapes)
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducibles(p, m):
+    monics = (poly_from_int(p**m + low, p) for low in range(p**m))
+    return [f for f in monics if poly_is_irreducible(f)]
+
+
+@st.composite
+def _batches(draw):
+    """(pX, bases, qvecs): p in {2, 3, 5}, m <= 5, t <= 3, bases (), (X,) or
+    (X, X+1) where coprime to pX, and 1 to 8 generator tuples with repeats."""
+    p = draw(st.sampled_from((2, 3, 5)), label="p")
+    m = draw(st.integers(1, 5), label="m")
+    pX = draw(st.sampled_from(_irreducibles(p, m)), label="pX")
+    bases = draw(st.sampled_from(((), ("X",), ("X", "X+1"))), label="bases")
+    assume(all(coprime_to_irreducible(P(b, p), pX) for b in bases))
+    t = draw(st.integers(1, 3), label="t")
+    tuples = st.lists(st.integers(1, p**m - 1), min_size=t, max_size=t).map(tuple)
+    qvecs = draw(st.lists(tuples, min_size=1, max_size=8), label="q")
+    if len(qvecs) > 1 and draw(st.booleans(), label="repeat"):
+        qvecs.append(qvecs[0])
+    return pX, bases, qvecs
+
+
+def _reference_fields(m, halton, pX, qvec) -> tuple:
+    """A certificate's fields from _modulus_bound, one (lattice, shape) at a time."""
+    p, cfg = pX.p, LatticeConfig(pX.p, pX, qvec)
+    den = p**m * (3 * p) ** cfg.t
+    table = disc._shape_table(halton.bases, pX)
+    levels, shapes = [den], []
+    for u, shape_rows in enumerate(table, start=1):
+        nums = tuple(
+            den if B is None else _modulus_bound(cfg, B)[u - deg_b]
+            for _, deg_b, _, B in shape_rows
+        )
+        levels.append(halton.s * den + sum(row[2] * n for row, n in zip(shape_rows, nums)))
+        shapes.append(nums)
+    total = den + levels[m] + (p - 1) * sum(levels[:m])
+    return p, m, halton.s, cfg.t, total, tuple(levels), tuple(shapes), table
+
+
+@settings(max_examples=80, deadline=None)
+@given(_batches())
+@example((P("X^4+X^3+X^2+X+1"), ("X",), [(1,), (6,), (1,)]))  # X is not primitive
+@example((P("X^4+X^3+X^2+X+1"), ("X", "X+1"), [(3, 5), (5, 3), (3, 5), (15, 15)]))
+@example((P("X^4+X^3+X^2+X+1"), (), [(2, 7, 9)]))
+@example((P("X+1"), ("X",), [(1, 1)]))  # m = 1
+@example((P("X", 3), (), [(2,), (1,), (2,)]))
+def test_batch_certificates_match_the_per_shape_route(case):
+    # every certificate of the batch equals, field by field and in input
+    # order, the one assembled from _modulus_bound per (lattice, shape)
+    pX, bases, qvecs = case
+    p, m = pX.p, pX.degree
+    halton = HaltonConfig.make(p, tuple(P(b, p) for b in bases))
+    polys = [tuple(poly_from_int(q, p) for q in qvec) for qvec in qvecs]
+    batch = certificates(m, halton, pX, polys)
+    assert len(batch) == len(polys)
+    for cert, qvec in zip(batch, polys):
+        fields = (
+            cert.p, cert.m, cert.s, cert.t, cert.total_numerator,
+            cert.level_numerators, cert.shape_numerators, cert.table,
+        )
+        assert fields == _reference_fields(m, halton, pX, qvec)
+        assert cert.total == Fraction(fields[4], p**m * (3 * p) ** cert.t)
+
+
+def test_batch_certificates_check_their_input():
+    pX = P("X^3+X+1")
+    halton = HaltonConfig.make(2, (Poly.x(2),))
+    assert certificates(3, halton, pX, []) == []
+    with pytest.raises(ValueError, match="degree must equal m"):
+        certificates(4, halton, pX, [(Poly.x(2),)])
+    with pytest.raises(ValueError, match="prime mismatch"):
+        certificates(3, HaltonConfig.make(3, ()), pX, [(Poly.x(2),)])
+    with pytest.raises(ValueError, match="monic irreducible"):
+        certificates(3, halton, P("X^3+1"), [(Poly.x(2),)])
+    for qvecs in ([(Poly.zero(2),)], [(P("X^3"),)], [(Poly.x(2),), (Poly.x(2), Poly.x(2))]):
+        with pytest.raises(ValueError, match="nonzero generators"):
+            certificates(3, halton, pX, qvecs)
 
 
 def test_certificate_rejects_shared_base():

@@ -1,9 +1,11 @@
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hybridqmc import cli, discrepancy, gfpoly, search, walsh
 from hybridqmc.discrepancy import BudgetExceededError
 from hybridqmc.gfpoly import Poly, irreducible_poly, poly_from_int, poly_parse
 from hybridqmc.search import (
@@ -198,3 +200,43 @@ def test_exhaustive_t1_large_m(m, best, merit, average, worst):
     assert res.best.merit == merit
     assert res.average == average
     assert res.reports[-1].merit == worst
+
+
+def test_search_certifies_its_candidates_in_one_batch(monkeypatch):
+    # 63 candidates and 7 shapes X^j: the residues X^j * q mod pX come from a
+    # linear map, not one Poly product per (candidate, shape), and only the
+    # best candidate's 21 (level, shape) pairs go through _modulus_bound
+    pX = irreducible_poly(2, 6)
+    halton = HaltonConfig.make(2, (Poly.x(2),))
+    for cache in (discrepancy._shape_table, walsh._modulus_bound, walsh._rank_profile):
+        cache.cache_clear()
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(gfpoly.Poly, "__mul__", counted("mul", gfpoly.Poly.__mul__))
+    monkeypatch.setattr(search, "_modulus_bound", counted("bound", search._modulus_bound))
+    res = search_exhaustive(6, 1, halton, pX)
+    assert len(res.reports) == 63
+    assert counts["mul"] < 63
+    assert counts["bound"] <= 21
+
+
+def test_a_wrong_best_candidate_bound_fails_the_search(monkeypatch, capsys):
+    # the batch's class bounds of the best candidate are checked against the
+    # per-shape route; a perturbed route must fail the search, and the CLI
+    # with exit code 2 and no report
+    real = search._modulus_bound
+    monkeypatch.setattr(search, "_modulus_bound", lambda cfg, B: tuple(b + 1 for b in real(cfg, B)))
+    with pytest.raises(ArithmeticError, match="class bound"):
+        search_exhaustive(3, 1, HaltonConfig.make(2, (Poly.x(2),)), PX3)
+    with pytest.raises(ArithmeticError, match="class bound"):
+        search_korobov(3, 2, H0, PX3)
+    code = cli.main(["search", "exhaustive", "--p", "2", "--m", "3", "--bases", "X"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "class bound" in err

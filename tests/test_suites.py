@@ -164,7 +164,7 @@ CASES = {
     ),
     "certificate-prefix": (
         "certificate",
-        {"prefix_reduction_bound": lambda orig: lambda points: 0},
+        {"star_discrepancy_exact": lambda orig: lambda points: Fraction(99)},
         (False, 4, "m=2 s=0", "prefix reduction bound violated at q encoding 1"),
     ),
 }
