@@ -1,14 +1,16 @@
 """Exact star discrepancy and the rigorous hybrid-set bound certificate.
 
-The exact oracle evaluates both one-sided deviations at every corner of the
+The exact oracle finds the largest one-sided deviation over the
 critical-corner grid, whose coordinates come from the per-dimension
 candidate sets (distinct point values plus 1), counting strictly for the
 open box and inclusively for the closed one.  Each dimension is rescaled
 to a common denominator, and one sweep along the axis with the most
 candidates keeps running dominance counts over the other axes (Dobkin,
-Eppstein & Mitchell 1996): each corner is visited once, memory is one
-slice of the grid, and the arithmetic stays in integers (int64 while it
-cannot overflow, Python ints beyond).
+Eppstein & Mitchell 1996).  A step reads only the box of corners whose
+counts the step's points change, since between changes a corner's excess
+only falls and its deficit only grows; memory is the counts plus a few
+scratch slices of the grid, and the arithmetic stays in integers (int64
+while it cannot overflow, Python ints beyond).
 
 The certificate assembles an upper bound on N~ * D* of every hybrid
 prefix from per-level worst cases: digit blocks of size p^u, residue
@@ -22,6 +24,7 @@ import functools
 import itertools
 import os
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -139,15 +142,19 @@ def _grid_extremes(n, denoms, numerators, cands):
     """Largest closed-box excess and open-box deficit over the corner grid,
     as integers over n * prod(denoms).
 
-    Sweeps the axis with the most candidates and keeps the closed-box
-    counts of every tail corner, scaled by prod(denoms), in one array with a
-    zero slab in front of each tail axis.  The points of each sweep
-    candidate are added as their histogram, summed along every tail axis
-    over the box of corners at or above their lowest index on each axis, so
-    a step costs a few passes over at most one slice.  The open-box counts
-    are the same array shifted back one candidate on every axis, read before
-    the points of the current sweep candidate are added: every point value
-    is a candidate, so x < c_j exactly when x <= c_(j-1).
+    Sweeps the axis with the most candidates, keeping the closed-box counts
+    of every tail corner, scaled by prod(denoms), behind a zero slab on each
+    tail axis; the open-box counts are that array shifted back one candidate
+    per axis, read before the points at the current sweep value c0 are added
+    (every point value is a candidate).  Those points change counts only in
+    the box from their lowest index on each tail axis, and between changes
+    c0 rises at volume >= 0, so a corner's excess only falls and its deficit
+    only grows: a step reads the deficit on the box before the add and the
+    excess after.  Untouched corners have excess <= 0, below the top tail
+    corner's at the last point, and the last step, which adds no points,
+    reads the whole slice's deficit.  A bucket's histogram on the grid of its
+    own distinct tail indices is summed there and stretched to the box by
+    run lengths; memory is the counts, their volumes and three scratch slices.
     """
     big_q = prod(denoms)
     dtype = _np.int64 if n * big_q < 2**62 else object
@@ -156,32 +163,40 @@ def _grid_extremes(n, denoms, numerators, cands):
     index = [{c: j for j, c in enumerate(cand)} for cand in cands]
     buckets = [[] for _ in cands[axis]]
     for row in zip(*numerators):
-        corner = tuple(index[i][row[i]] + 1 for i in tail)
-        buckets[index[axis][row[axis]]].append(corner)
+        buckets[index[axis][row[axis]]].append(tuple(index[i][row[i]] for i in tail))
     nvol = _np.array(n, dtype=dtype)
     for i in tail:
         nvol = _np.multiply.outer(nvol, _np.array(cands[i], dtype=dtype))
     counts = _np.zeros([len(cands[i]) + 1 for i in tail], dtype=dtype)
-    closed = (..., *[slice(1, None)] * len(tail))
-    opened = (..., *[slice(None, -1)] * len(tail))
-    excess = []
-    deficit = []
-    for c0, rows in zip(cands[axis], buckets):
-        vol = nvol * c0
-        deficit.append(_np.max(vol - counts[opened]))
-        if rows:
-            low = [min(col) for col in zip(*rows)]
-            box = counts[(..., *(slice(j, None) for j in low))]
-            strides = [prod(box.shape[k + 1 :]) for k in range(len(tail))]
-            flat = [
-                sum((j - lo) * s for j, lo, s in zip(row, low, strides)) for row in rows
-            ]
-            hist = _np.bincount(flat, minlength=box.size).reshape(box.shape)
-            hist = hist.astype(dtype, copy=False) * big_q
-            for ax in range(len(tail)):
-                _np.cumsum(hist, axis=ax, out=hist)
-            box += hist
-        excess.append(_np.max(counts[closed] - vol))
+    closed = counts[(..., *[slice(1, None)] * len(tail))]
+    opened = counts[(..., *[slice(-1)] * len(tail))]
+    vols, works, spares = _np.empty((3, nvol.size), dtype=dtype)
+    scale, ramp = _np.array(big_q, dtype=dtype), _np.arange(len(cands[axis]))
+    excess, deficit = [], []
+    for c0, rows in zip(cands[axis], buckets[:-1]):
+        grids = [sorted(set(col)) for col in zip(*rows)]
+        box = (..., *[slice(grid[0], None) for grid in grids])
+        nv = nvol[box]
+        vol, work = vols[: nv.size].reshape(nv.shape), works[: nv.size].reshape(nv.shape)
+        deficit.append(_np.subtract(_np.multiply(nv, c0, out=vol), opened[box], out=work).max())
+        flat = [0] * len(rows)
+        for k, grid in enumerate(grids):
+            flat = [f * len(grid) + bisect_left(grid, row[k]) for f, row in zip(flat, rows)]
+        dims = [len(grid) for grid in grids]
+        hist = (_np.bincount(flat, minlength=prod(dims)) * scale).reshape(dims)
+        for ax in range(len(tail)):
+            _np.add.accumulate(hist, ax, out=hist)
+        for ax in reversed(range(len(tail))):
+            runs = [b - a for a, b in zip(grids[ax], [*grids[ax][1:], closed.shape[ax]])]
+            size = (*dims[:ax], *nv.shape[ax:])
+            out = (works, spares)[ax % 2][: prod(size)].reshape(size)
+            # mode "raise" would write through a temporary the size of out
+            hist = hist.take(ramp[: dims[ax]].repeat(runs), ax, out=out, mode="clip")
+        target = closed[box]
+        excess.append(_np.subtract(_np.add(target, hist, out=target), vol, out=work).max())
+    vol, work = vols.reshape(nvol.shape), works.reshape(nvol.shape)
+    _np.multiply(nvol, cands[axis][-1], out=vol)
+    deficit.append(_np.subtract(vol, opened, out=work).max())
     return int(max(excess)), int(max(deficit))
 
 

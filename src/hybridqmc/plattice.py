@@ -212,8 +212,8 @@ class SubLatticeSpec:
 
 def coprime_to_irreducible(B: Poly, pX: Poly) -> bool:
     """B shares no factor with the irreducible pX iff pX does not divide B
-    (so B = 0 is not coprime)."""
-    return not (B % pX).is_zero
+    (so B = 0 is not coprime); below pX's degree only B = 0 is divisible."""
+    return not B.is_zero if B.degree < pX.degree else not (B % pX).is_zero
 
 
 def _check_sublattice(spec: SubLatticeSpec, cfg: LatticeConfig):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .discrepancy import (
     PointSetD,
-    discrepancy_certificate,
+    certificates,
     prefix_discrepancies,
     star_discrepancy_exact,
 )
@@ -334,9 +334,10 @@ def suite_certificate():
         pX = irreducible_poly(p, m)
         for bases in ((), (Poly.x(p),)):
             halton_cfg = HaltonConfig.make(p, bases)
-            for q_enc in range(1, p**m):
-                lattice_cfg = LatticeConfig(p, pX, (poly_from_int(q_enc, p),))
-                cert = discrepancy_certificate(m, halton_cfg, lattice_cfg)
+            qvecs = [(poly_from_int(q_enc, p),) for q_enc in range(1, p**m)]
+            batch = certificates(m, halton_cfg, pX, qvecs)
+            for q_enc, (qvec, cert) in enumerate(zip(qvecs, batch), start=1):
+                lattice_cfg = LatticeConfig(p, pX, qvec)
                 points = PointSetD._checked(tuple(hybrid_point_set(m, halton_cfg, lattice_cfg)))
                 hybrid = points.project(range(1, points.dim))
                 prefixes = prefix_discrepancies(hybrid)

@@ -181,6 +181,48 @@ def test_duplicate_points_are_counted_with_multiplicity():
     assert star_discrepancy_exact(pts) == F(1, 2)
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(*[_coordinates] * 4), min_size=1, max_size=6))
+def test_oracle_matches_reference_property_dim4(rows):
+    _assert_kernel_matches_reference(PointSetD(rows))
+
+
+@st.composite
+def _pooled_point_sets(draw, coordinates=_coordinates):
+    # at most three values per axis, so a sweep bucket holds several points
+    # that share tail values, and the grid of its distinct tail values
+    # stretches to the box in runs longer than one
+    dim = draw(st.integers(2, 4))
+    pool = st.lists(coordinates, min_size=1, max_size=3, unique=True)
+    axes = [st.sampled_from(draw(pool)) for _ in range(dim)]
+    return PointSetD(draw(st.lists(st.tuples(*axes), min_size=1, max_size=12)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_pooled_point_sets())
+@example(PointSetD([(F(1, 4), F(1, 2), F(1, 3)), (F(1, 4), F(3, 4), F(1, 3))] * 3))
+def test_oracle_matches_reference_on_shared_tail_values(pts):
+    _assert_kernel_matches_reference(pts)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_pooled_point_sets(st.fractions(F(1, 16), F(15, 16), max_denominator=16)))
+def test_oracle_matches_reference_without_zero_coordinates(pts):
+    _assert_kernel_matches_reference(pts)
+
+
+def test_first_sweep_step_decides_without_zero_coordinates():
+    # four points at the first sweep value 1/8: the largest excess is at
+    # corners of that value, where no box has zero volume
+    pts = PointSetD([(F(1, 8), F(1, 2))] * 4 + [(F(k, 8), F(7, 8)) for k in (3, 5, 7)])
+    dn, nu, ca = disc._rescaled_columns(pts)
+    assert len(ca[0]) > len(ca[1])  # the sweep runs along the first axis
+    excess, _ = _grid_extremes_reference(pts.n, dn, nu, ca)
+    assert _grid_extremes_reference(pts.n, dn, nu, [ca[0][:1], ca[1]])[0] == excess
+    assert excess > _grid_extremes_reference(pts.n, dn, nu, [ca[0][1:], ca[1]])[0]
+    _assert_kernel_matches_reference(pts)
+
+
 def _prefix_discrepancies_reference(points):
     """One oracle call per prefix: the reference the index-order sweep is
     checked against."""
@@ -222,6 +264,24 @@ def test_prefix_sweep_matches_per_prefix_loop_beyond_int64(pts):
     denoms, _, _ = disc._rescaled_columns(pts)
     assert pts.n * prod(denoms) >= 2**62
     assert prefix_discrepancies(pts) == _prefix_discrepancies_reference(pts)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_huge_base_3_point_sets())
+def test_grid_kernel_matches_reference_beyond_int64(pts):
+    denoms, _, _ = disc._rescaled_columns(pts)
+    assert pts.n * prod(denoms) >= 2**62
+    _assert_kernel_matches_reference(pts)
+
+
+def test_grid_kernel_beyond_int64_in_four_dimensions():
+    rng = random.Random(62)
+    den = 3**25
+    pools = [[F(3 * rng.randrange(den // 3) + 1, den) for _ in range(3)] for _ in range(4)]
+    pts = PointSetD([tuple(rng.choice(pool) for pool in pools) for _ in range(12)])
+    denoms, _, _ = disc._rescaled_columns(pts)
+    assert pts.n * prod(denoms) >= 2**62
+    _assert_kernel_matches_reference(pts)
 
 
 def test_prefix_budget_counts_cells_times_points():

@@ -159,7 +159,7 @@ CASES = {
     ),
     "certificate-total": (
         "certificate",
-        {"discrepancy_certificate": lambda orig: lambda m, h, lat: SimpleNamespace(total=-1)},
+        {"certificates": lambda orig: lambda m, h, pX, qvecs: [SimpleNamespace(total=-1)] * len(qvecs)},
         (False, 0, "m=2 s=0", "1*D* = 1.0 > total -1.0 at q encoding 1"),
     ),
     "certificate-prefix": (
