@@ -23,9 +23,9 @@ from .discrepancy import (
     star_discrepancy_exact,
     write_atomic,
 )
-from .gfpoly import ParseError, irreducible_poly, poly_parse
+from .gfpoly import ParseError, as_prime, irreducible_poly, poly_parse
 from .plattice import LatticeConfig, korobov_qvec, plattice_point_laurent
-from .search import search_exhaustive, search_korobov
+from .search import check_search_budget, search_exhaustive, search_korobov
 from .seqgen import HaltonConfig, digital_points, halton_point, hybrid_point
 from .suites import SUITES, run_suite
 
@@ -204,7 +204,8 @@ def _cmd_disc(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    p = args.p
+    p = as_prime(args.p)
+    check_search_budget(args.mode, p, args.m, args.t, args.budget)
     halton = HaltonConfig.make(p, _parse_polys(args.bases, p))
     pX = poly_parse(args.px, p) if args.px else irreducible_poly(p, args.m)
     if pX.degree != args.m:

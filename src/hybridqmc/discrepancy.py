@@ -417,6 +417,7 @@ def discrepancy_certificate(
 
 
 _HEADER_KEYS = ("p", "m", "dim", "count")
+_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # as --format decimal writes it
 
 
 def _decimal_token(value: Fraction, precision: int) -> str:
@@ -483,11 +484,13 @@ def load_point_set(path):
     """Read a point file back; returns (PointSetD, meta)."""
     meta: dict = {}
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for raw in fh:
             line = raw.strip()
             if not line:
                 continue
+            if not line.isascii():
+                raise ParseError("non-ASCII byte", re.search(r"[^\x00-\x7f]", line).start())
             if line.startswith("#"):
                 body = line[1:].strip()
                 if "=" in body:
@@ -520,6 +523,8 @@ def _parse_coordinate(token: str, position: int, meta: dict):
     num_s, slash, den_s = token.partition("/")
     try:
         if not slash:
+            if not _DECIMAL.fullmatch(token):
+                raise ValueError("a decimal is digits, then optionally a point and digits")
             value = Fraction(token)
         else:
             num, den = int(num_s), int(den_s)

@@ -33,16 +33,25 @@ class ParseError(ValueError):
         self.position = position
 
 
+# the first 13 primes as strong-pseudoprime bases decide primality below
+# _PRIME_LIMIT (Sorenson & Webster, Math. Comp. 86 (2017))
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 @functools.lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic Miller-Rabin test; p >= _PRIME_LIMIT is out of range."""
+    if p >= _PRIME_LIMIT:
+        raise ValueError(f"modulus {p} is out of range (>= {_PRIME_LIMIT})")
+    if p < 2 or any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    n = p - 1
+    s = (n & -n).bit_length() - 1  # n = d * 2^s with d odd; a^(d * 2^j) = a^(n >> (s - j))
+    return all(
+        pow(a, n >> s, p) == 1 or any(pow(a, n >> k, p) == n for k in range(1, s + 1))
+        for a in _PRIME_BASES
+    )
 
 
 @dataclass(frozen=True)
@@ -491,10 +500,6 @@ class BasePRational(Fraction):
         if j > self.L:
             return 0
         return (self.num // self.p ** (self.L - j)) % self.p
-
-    def digits(self) -> tuple:
-        """All L digits, most significant first."""
-        return tuple(self.digit(j) for j in range(1, self.L + 1))
 
     def token(self) -> str:
         """File token: numerator slash the evaluated denominator p^L."""

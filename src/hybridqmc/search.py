@@ -32,7 +32,7 @@ from .gfpoly import (
 )
 from .plattice import LatticeConfig, _irreducible_modulus, coprime_to_irreducible, korobov_qvec
 from .seqgen import HaltonConfig, hybrid_point_set
-from .walsh import _modulus_bound, walsh_weight_total
+from .walsh import _batch_bounds, _modulus_bound, walsh_weight_total
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -41,13 +41,20 @@ def search_budget() -> int:
     return int(os.environ.get("HYBRIDQMC_SEARCH_BUDGET", DEFAULT_SEARCH_BUDGET))
 
 
-def _check_budget(space: int, budget: int | None, hint: str = ""):
-    """Raise BudgetExceededError when space candidates exceed the budget
-    (default: search_budget())."""
-    if budget is None:
-        budget = search_budget()
-    if space > budget:
-        raise BudgetExceededError(f"{space} candidate tuples exceed budget {budget}{hint}")
+def check_search_budget(mode: str, p: int, m: int, t: int, budget: int | None = None):
+    """Raise BudgetExceededError when a search's candidates, (p^m - 1)^t
+    (exhaustive) or p^m - 1 (korobov), exceed the budget (default:
+    search_budget()).  As p^m - 1 >= 2^m - 1, an m or (for a base of 2 or
+    more) a t past the budget's bit length exceeds it unformed."""
+    budget = search_budget() if budget is None else budget
+    t, width = t if mode == "exhaustive" else 1, budget.bit_length()
+    base = p**m - 1 if m <= width else None
+    space = None if base is None or base > 1 and t > width else base**t
+    if space is None or space > budget:
+        count = f"{p}^{m} - 1" if t == 1 else f"({p}^{m} - 1)^{t}"
+        count = space if space is not None and space.bit_length() <= 64 else count
+        hint = "; consider the Korobov search" if mode == "exhaustive" else ""
+        raise BudgetExceededError(f"{count} candidate tuples exceed budget {budget}{hint}")
 
 
 def nonzero_polys(p: int, m: int) -> list:
@@ -60,14 +67,11 @@ def _candidates(mode: str, t: int, pX: Poly, budget: int | None = None):
     modulus pX: every tuple of nonzero polynomials of degree < m
     (exhaustive) or the power tuples (g, ..., g^t mod pX) (korobov)."""
     p, m = pX.p, pX.degree
+    check_search_budget(mode, p, m, t, budget)
     if mode == "exhaustive":
-        _check_budget((p**m - 1) ** t, budget, "; consider the Korobov search")
         yield from itertools.product(nonzero_polys(p, m), repeat=t)
-    elif mode == "korobov":
-        _check_budget(p**m - 1, budget)
-        yield from (korobov_qvec(g, t, pX) for g in nonzero_polys(p, m))
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        yield from (korobov_qvec(g, t, pX) for g in nonzero_polys(p, m))
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,8 @@ class SearchResult:
 
 def _certify_candidates(mode, m, halton_cfg, pX, candidates) -> SearchResult:
     """Certify the candidates as one batch, rank them by (total numerator,
-    encoding), and check the best one's class bounds against the per-shape
-    route and its merit against the candidate average."""
+    encoding), and check the best one's class bounds against a fresh batch
+    of one per shape and its merit against the candidate average."""
     qvecs = list(candidates)
     certs = certificates(m, halton_cfg, pX, qvecs)
     scored = sorted(
@@ -252,11 +256,9 @@ def average_bound_check(modulus_b: Poly, u: int, pX: Poly, t: int, budget: int |
     over every generator tuple; raises if the average exceeds the cap."""
     p, m = pX.p, pX.degree
     d = _digit_freedom(modulus_b, pX, u)
-    total = count = 0
-    for qvec in _candidates("exhaustive", t, pX, budget):
-        total += _modulus_bound(LatticeConfig(p, pX, qvec), modulus_b)[d]
-        count += 1
-    empirical = Fraction(total, count * p**m * (3 * p) ** t)
+    qvecs = list(_candidates("exhaustive", t, pX, budget))
+    total = sum(bounds[d] for bounds in _batch_bounds(pX, (modulus_b,), qvecs)[0])
+    empirical = Fraction(total, len(qvecs) * p**m * (3 * p) ** t)
     theoretical = t + Fraction(p**m, p**m - 1) * walsh_weight_total(p, m, t)
     if empirical > theoretical:
         raise ArithmeticError("empirical average exceeds the theoretical cap")

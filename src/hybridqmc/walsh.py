@@ -8,9 +8,9 @@ is 1 / (p^(g+1) * sin(pi*K/p)^2), held exactly for every prime by its
 rational coordinates in the cyclotomic field Q(zeta), zeta = e(1/p).
 The Walsh bound sums these weights over the dual of a sub-lattice from
 the sub-lattice's points, where the weighted Walsh series is rational,
-so bounds are exact rationals for every prime.  As {l*B*q/pX} =
-{l*(B*q mod pX)/pX}, a shape's sum is the rank profile of that residue
-for one generator, and reads one unit-group table per modulus for more.
+so bounds are exact rationals for every prime.  _batch_bounds is the one
+route to every bound and _modulus_bound its cached batch of one; the
+route that forms B*q mod pX with a Poly product is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def _combined_numerator(cfg: LatticeConfig, kvec) -> Poly:
 def _combined_residues(cfg: LatticeConfig) -> tuple:
     """(kvec, (sum_i k_i*q_i) mod pX) for every nonzero frequency tuple:
     the frequency side of the dual weight sum, kept as a desk-scale
-    reference for _shape_sums."""
+    reference for _modulus_bound."""
     out = []
     for kvec in itertools.product(range(cfg.p**cfg.m), repeat=cfg.t):
         if any(kvec):
@@ -330,85 +330,71 @@ def _table_sums(pX: Poly, shifts, dmax: int) -> tuple:
     columns = (map(F.__getitem__, map(shift.__add__, logs)) for shift in shifts)
     terms = functools.reduce(functools.partial(map, operator.mul), columns)
     prefix = list(itertools.accumulate(terms, initial=(3 * p + m * (p * p - 1)) ** t))
-    return tuple(prefix[p**d - 1] for d in range(dmax + 1))
-
-
-def _shape_sums(cfg: LatticeConfig, modulus: Poly) -> tuple:
-    """S_d = sum_l prod_i 3p*phi(x_i(l)) over the p^d points l*B, deg l < d,
-    for every d = 0..m - deg B.  As {l*B*q_i/pX} = {l*r_i/pX} with
-    r_i = B*q_i mod pX, S_d depends on r_i alone: at t = 1 it is read off
-    r_1's rank profile; at t >= 2 off pX's unit-group table."""
-    p, pX, dmax = cfg.p, cfg.modulus, cfg.m - modulus.degree
-    b = (modulus * cfg.generators[0] if cfg.t == 1 else modulus) % pX  # r_1, or B mod pX
-    if b.is_zero:
-        raise ValueError("shape modulus is divisible by pX")
-    if cfg.t == 1:
-        return _rank_profile(pX, poly_to_int(b))[: dmax + 1]
-    log, n = _unit_group(pX)[0], p**cfg.m - 1
-    shifts = [(log[poly_to_int(b)] + log[poly_to_int(q)]) % n for q in cfg.generators]
-    return _table_sums(pX, shifts, dmax)
+    return tuple([prefix[p**d - 1] for d in range(dmax + 1)])
 
 
 def _bound_tuple(p: int, m: int, t: int, sums) -> tuple:
     """For every d, t*p^(d-m) plus p^d times the dual weight sum
     p^-d * S_d/(3p)^t - 1, capped at p^d, as an integer over p^m * (3p)^t:
     min(t*c + p^m*(S_d - c), p^m*c) with c = p^d*(3p)^t."""
-    pm, scale = p**m, (3 * p) ** t
-    caps = [p**d * scale for d in range(len(sums))]
-    return tuple(min(t * c + pm * (s - c), pm * c) for c, s in zip(caps, sums))
+    pm, c, out = p**m, (3 * p) ** t, []
+    for s in sums:
+        out.append(min(t * c + pm * (s - c), pm * c))
+        c *= p
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=65536)
 def _modulus_bound(cfg: LatticeConfig, modulus: Poly) -> tuple:
-    """The bound tuple of shape B = modulus for d = 0..m - deg B."""
-    return _bound_tuple(cfg.p, cfg.m, cfg.t, _shape_sums(cfg, modulus))
+    """The bound tuple of shape B = modulus for d = 0..m - deg B: the batch
+    of one, cut where the t = 1 batch runs on to d = m."""
+    bounds = _batch_bounds(cfg.modulus, (modulus,), (cfg.generators,))[0][0]
+    return bounds[: cfg.m - modulus.degree + 1]
 
 
 def _batch_bounds(pX: Poly, moduli, qvecs) -> list:
-    """Per shape modulus B, _modulus_bound(LatticeConfig(p, pX, qvec), B) for
-    every qvec (at t = 1 running on to d = m), one tuple built per residue
-    and no Poly product.  At t = 1 the code of B*q mod pX is q's digits
-    times the columns B*X^j mod pX, stepped by pX's recurrence; at t >= 2
-    the residues are logs, log B + log q_i, sorted as the sum is symmetric."""
-    p, m = pX.p, pX.degree
-    t = len(qvecs[0])
-    low, powers, memo, out = pX.coeffs[:-1], [p**j for j in range(m)], {}, []
+    """Per shape modulus B, the bound tuple of B for every qvec (at t = 1
+    running on to d = m), one tuple built per residue and no Poly product:
+    as {l*B*q_i/pX} = {l*r_i/pX}, the sums S_d over the points l*B,
+    deg l < d, depend on r_i = B*q_i mod pX alone.  At t = 1 r's code is
+    B's coefficients times the columns X^k*q mod pX, stepped by pX's
+    recurrence, and S_d its rank profile; at t >= 2 the residues are logs,
+    log B + log q_i, sorted as the sum is symmetric."""
+    p, m, t = pX.p, pX.degree, len(qvecs[0])
+    memo, rows = {}, [[] for _ in moduli]
     if t == 1:
-        digits = [qvec[0].coeffs for qvec in qvecs]
-    else:
-        log, n = _unit_group(pX)[0], p**m - 1
-        logs = [[log[poly_to_int(q)] for q in qvec] for qvec in qvecs]
-    for B in moduli:
-        b = B % pX
-        if b.is_zero:
-            raise ValueError("shape modulus is divisible by pX")
-        row = []
-        if t == 1:
-            column, columns = [*b.coeffs, *[0] * (m - len(b.coeffs))], []
-            for _ in range(m):  # X*r mod pX: shift up, less top * pX's low part
-                columns.append(column)
-                top = column[-1]
-                column = [(x - top * c) % p for x, c in zip([0, *column[:-1]], low)]
-            for qdigits in digits:
+        low, powers = pX.coeffs[:-1], [p**j for j in range(m)]
+        for (q,) in qvecs:
+            columns = [[*q.coeffs, *[0] * (m - len(q.coeffs))]]
+            for B, row in zip(moduli, rows):
+                while len(columns) < len(B.coeffs):  # X*r mod pX: shift up, less top * low
+                    top = columns[-1][-1]
+                    columns.append([(x - top * c) % p for x, c in zip((0, *columns[-1]), low)])
                 r = [0] * m
-                for a, col in zip(qdigits, columns):
+                for a, column in zip(B.coeffs, columns):
                     if a:
-                        r = [x + a * y for x, y in zip(r, col)]
+                        r = [x + a * y for x, y in zip(r, column)]
                 code = sum(x % p * w for x, w in zip(r, powers))
+                if not code:  # q is a unit, so r = 0 only for B = 0 mod pX
+                    raise ValueError("shape modulus is divisible by pX")
                 bound = memo.get(code)
                 if bound is None:
                     bound = memo[code] = _bound_tuple(p, m, 1, _rank_profile(pX, code))
                 row.append(bound)
-        else:
-            dmax, shift = m - B.degree, log[poly_to_int(b)]
-            for qlogs in logs:
-                key = (dmax, *sorted((shift + x) % n for x in qlogs))
-                bound = memo.get(key)
-                if bound is None:
-                    bound = memo[key] = _bound_tuple(p, m, t, _table_sums(pX, key[1:], dmax))
-                row.append(bound)
-        out.append(row)
-    return out
+        return rows
+    log, n = _unit_group(pX)[0], p**m - 1
+    logs = [[log[poly_to_int(q)] for q in qvec] for qvec in qvecs]
+    for B, row in zip(moduli, rows):
+        dmax, shift = m - B.degree, log[poly_to_int(B % pX)]
+        if shift is None:  # B = 0 mod pX
+            raise ValueError("shape modulus is divisible by pX")
+        for qlogs in logs:
+            key = (dmax, *sorted([(shift + x) % n for x in qlogs]))
+            bound = memo.get(key)
+            if bound is None:
+                bound = memo[key] = _bound_tuple(p, m, t, _table_sums(pX, key[1:], dmax))
+            row.append(bound)
+    return rows
 
 
 def walsh_discrepancy_bound(spec: SubLatticeSpec, cfg: LatticeConfig) -> Fraction:

@@ -1,0 +1,26 @@
+"""The Poly-product route to a shape's dual weight sums, the oracle that
+walsh._batch_bounds and its batch of one, walsh._modulus_bound, are
+compared against: r_i = B*q_i mod pX is formed by a Poly product and a
+division, then read off r_1's rank profile at t = 1 or off pX's
+unit-group table at log r_i for t >= 2."""
+
+from hybridqmc.gfpoly import poly_to_int
+from hybridqmc.walsh import _bound_tuple, _rank_profile, _table_sums, _unit_group
+
+
+def shape_sums(cfg, modulus) -> tuple:
+    """S_d = sum_l prod_i 3p*phi(x_i(l)) over the p^d points l*B, deg l < d,
+    for every d = 0..m - deg B, B = modulus."""
+    pX, dmax = cfg.modulus, cfg.m - modulus.degree
+    residues = [modulus * q % pX for q in cfg.generators]
+    if residues[0].is_zero:
+        raise ValueError("shape modulus is divisible by pX")
+    if cfg.t == 1:
+        return _rank_profile(pX, poly_to_int(residues[0]))[: dmax + 1]
+    log = _unit_group(pX)[0]
+    return _table_sums(pX, [log[poly_to_int(r)] for r in residues], dmax)
+
+
+def shape_bounds(cfg, modulus) -> tuple:
+    """The bound tuple of shape B = modulus for d = 0..m - deg B."""
+    return _bound_tuple(cfg.p, cfg.m, cfg.t, shape_sums(cfg, modulus))

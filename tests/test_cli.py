@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -197,12 +198,41 @@ def test_output_leaves_foreign_tmp_file_alone(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("header", ["# p=2\n", ""], ids=["p=2", "no-header"])
-@pytest.mark.parametrize("token", ["1/0", "abc", "2/2", "3/2", "-1/2", "1/-2", "1"])
+@pytest.mark.parametrize(
+    "token", ["1/0", "abc", "2/2", "3/2", "-1/2", "1/-2", "1", "-0", "+0.5", "1e-5", ".5", "0."]
+)
 def test_bad_coordinate_is_a_parse_error(tmp_path, capsys, header, token):
     path = tmp_path / "pts.txt"
     path.write_text(f"{header}0/2 {token}\n")
     code, out, err = run(capsys, "disc", "exact", "--input", str(path))
     assert code == 1 and "parse error" in err and "position 4" in err and not out
+
+
+P31_SQUARED = str((2**31 - 1) ** 2)  # composite, with no factor below 2^31 - 1
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, seconds",
+    [
+        (("disc", "exact"), b"1e-99999999 1/2\n", 1, 1),
+        (("disc", "exact"), b"0/2 \xef/2\n", 1, 1),
+        (("disc", "exact"), f"# p={P31_SQUARED}\n0/2 1/2\n".encode(), 1, 0.1),
+        (("search", "exhaustive", "--p", P31_SQUARED, "--m", "1"), None, 2, 0.1),
+        (("search", "exhaustive", "--p", "2", "--m", "1000000"), None, 3, 1),
+        (("search", "korobov", "--p", "3", "--m", "1000000"), None, 3, 1),
+        (("search", "exhaustive", "--p", "2", "--m", "2", "--t", "10000000"), None, 3, 1),
+    ],
+    ids=["exponent-token", "non-ascii", "p-header", "p-option", "m-exhaustive", "m-korobov", "t"],
+)
+def test_hostile_inputs_end_in_bounded_time(tmp_path, capsys, argv, text, code, seconds):
+    if text is not None:
+        path = tmp_path / "pts.txt"
+        path.write_bytes(text)
+        argv = (*argv, "--input", str(path))
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < seconds
+    assert got == code and not out and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("header", ["# p=2\n", ""], ids=["p=2", "no-header"])

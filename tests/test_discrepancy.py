@@ -37,6 +37,7 @@ from hybridqmc.gfpoly import (
 from hybridqmc.plattice import LatticeConfig, coprime_to_irreducible
 from hybridqmc.walsh import _modulus_bound
 from hybridqmc.seqgen import HaltonConfig, hybrid_point_set
+from shape_oracle import shape_bounds
 
 
 def P(text, p=2):
@@ -394,15 +395,17 @@ def _batches(draw):
 
 
 def _reference_fields(m, halton, pX, qvec) -> tuple:
-    """A certificate's fields from _modulus_bound, one (lattice, shape) at a time."""
+    """A certificate's fields from the Poly-product oracle, one (lattice,
+    shape) at a time, checking _modulus_bound against it on the way."""
     p, cfg = pX.p, LatticeConfig(pX.p, pX, qvec)
     den = p**m * (3 * p) ** cfg.t
     table = disc._shape_table(halton.bases, pX)
     levels, shapes = [den], []
     for u, shape_rows in enumerate(table, start=1):
+        bounds = {B: shape_bounds(cfg, B) for *_, B in shape_rows if B is not None}
+        assert all(_modulus_bound(cfg, B) == bound for B, bound in bounds.items())
         nums = tuple(
-            den if B is None else _modulus_bound(cfg, B)[u - deg_b]
-            for _, deg_b, _, B in shape_rows
+            den if B is None else bounds[B][u - deg_b] for _, deg_b, _, B in shape_rows
         )
         levels.append(halton.s * den + sum(row[2] * n for row, n in zip(shape_rows, nums)))
         shapes.append(nums)
@@ -419,7 +422,8 @@ def _reference_fields(m, halton, pX, qvec) -> tuple:
 @example((P("X", 3), (), [(2,), (1,), (2,)]))
 def test_batch_certificates_match_the_per_shape_route(case):
     # every certificate of the batch equals, field by field and in input
-    # order, the one assembled from _modulus_bound per (lattice, shape)
+    # order, the one assembled from the Poly-product oracle per (lattice,
+    # shape); _modulus_bound, the batch of one, equals the oracle per shape
     pX, bases, qvecs = case
     p, m = pX.p, pX.degree
     halton = HaltonConfig.make(p, tuple(P(b, p) for b in bases))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hybridqmc.gfpoly import (
     Poly,
     PrimeModulus,
     ResidueClass,
+    _is_prime,
     _long_division,
     as_prime,
     irreducible_poly,
@@ -53,6 +55,36 @@ def test_as_prime_errors_match_prime_modulus(bad):
 def test_as_prime_accepts_primes_and_prime_moduli():
     assert as_prime(7) == 7 and type(as_prime(7)) is int
     assert as_prime(PrimeModulus(5)) == 5
+
+
+def test_primality_agrees_with_a_sieve():
+    # every n < 10^5: composites are the multiples d*k, k >= d, of d <= 316
+    composite = set()
+    for d in range(2, 317):
+        composite.update(range(d * d, 10**5, d))
+    primes = [n for n in range(2, 10**5) if n not in composite]
+    assert [n for n in range(10**5) if _is_prime.__wrapped__(n)] == primes
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        ((2**31 - 1) ** 2, False),  # no factor below 2^31 - 1
+        (318665857834031151167461, False),  # strong pseudoprime to the bases 2..37
+        (2**61 - 1, True),
+    ],
+)
+def test_primality_in_bounded_time(n, prime):
+    start = time.perf_counter()
+    assert _is_prime.__wrapped__(n) is prime
+    assert time.perf_counter() - start < 0.1
+
+
+def test_primality_range_is_bounded():
+    # 13 prime bases decide primality below 3.3e24; a larger p is rejected
+    assert not _is_prime(3317044064679887385961980)
+    with pytest.raises(ValueError, match="out of range"):
+        as_prime(3317044064679887385961981)
 
 
 def test_divmod_examples():
@@ -312,7 +344,7 @@ def test_pow_mod():
 
 def test_base_p_rational_invariants():
     x = BasePRational(2, 13, 4)
-    assert x.digits() == (1, 1, 0, 1)
+    assert tuple(x.digit(j) for j in range(1, 5)) == (1, 1, 0, 1)
     assert x.token() == "13/16"
     assert x == BasePRational(2, 13, 4)
     assert BasePRational(2, 1, 1) == BasePRational(2, 2, 2)  # value equality

@@ -8,6 +8,7 @@ import pytest
 from hybridqmc import cli, discrepancy, gfpoly, search, walsh
 from hybridqmc.discrepancy import BudgetExceededError
 from hybridqmc.gfpoly import Poly, irreducible_poly, poly_from_int, poly_parse
+from hybridqmc.plattice import LatticeConfig
 from hybridqmc.search import (
     anchor_pair_set,
     average_bound_check,
@@ -150,6 +151,22 @@ def test_average_bound_examples():
         average_bound_check(Poly.zero(2), 2, PX2, 1)
     with pytest.raises(ValueError):
         average_bound_check(PX3, 3, PX3, 1)
+
+
+@pytest.mark.parametrize("B, u, t", [(Poly.one(2), 3, 1), (P("X+1"), 3, 2), (P("X^2+1"), 2, 2)])
+def test_average_bound_check_reads_one_batch(monkeypatch, B, u, t):
+    # the mean over every candidate of its _modulus_bound entry, from one
+    # _batch_bounds call and no LatticeConfig per candidate
+    d = u - B.degree
+    cfgs = [LatticeConfig(2, PX3, qvec) for qvec in itertools.product(nonzero_polys(2, 3), repeat=t)]
+    total = sum(walsh._modulus_bound(cfg, B)[d] for cfg in cfgs)
+    calls = []
+    real = search._batch_bounds
+    monkeypatch.setattr(search, "_batch_bounds", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(search, "LatticeConfig", None)
+    empirical, _ = average_bound_check(B, u, PX3, t)
+    assert calls == [1]
+    assert empirical == Fraction(total, len(cfgs) * 2**3 * 6**t)
 
 
 def test_anchor_pair_leading_digits_coincide():

@@ -1,13 +1,14 @@
 """src/ holds what the package itself or the benchmark reaches.
 
-Every top-level function and class of a hybridqmc module, and every method
-and property of such a class other than the double-underscore ones Python
-calls by itself, must be named by a Name or Attribute node somewhere else in
-src/ (not inside its own definition, and not in __init__.py, whose
-re-exports reach nothing by themselves) or in bench/.  The benchmark's
-tracer also binds names by string through getattr, so a string constant in
-bench/ that spells the name counts as a reference.  A function that only
-tests call belongs in tests/, as their reference.
+Every top-level function and class of a hybridqmc module must be named by a
+Name or Attribute node somewhere else in src/ (not inside its own
+definition, and not in __init__.py, whose re-exports reach nothing by
+themselves) or in bench/.  Every method and property of such a class other
+than the double-underscore ones Python calls by itself must be named by an
+Attribute node there, as a local variable of the same name reaches nothing.
+The benchmark's tracer also binds names by string through getattr, so a
+string constant in bench/ that spells the name counts as a reference.  A
+function that only tests call belongs in tests/, as their reference.
 """
 
 import ast
@@ -18,15 +19,16 @@ MODULES = sorted(p for p in (ROOT / "src" / "hybridqmc").glob("*.py") if p.name 
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
-def _references(tree, skip=None, strings=False) -> set:
-    """The identifiers of tree's Name and Attribute nodes outside the node
-    skip, and with strings also its string constants."""
+def _references(tree, skip=None, strings=False, names=True) -> set:
+    """The identifiers of tree's Attribute nodes outside the node skip, with
+    names also of its Name nodes, and with strings also its string
+    constants."""
     found, stack = set(), [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if names and isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -38,14 +40,17 @@ def _references(tree, skip=None, strings=False) -> set:
 
 def _unreached() -> list:
     trees = {path.name: ast.parse(path.read_text(), path.name) for path in MODULES}
-    bench = set()
-    for path in BENCH:
-        bench |= _references(ast.parse(path.read_text(), path.name), strings=True)
+    benches = [ast.parse(path.read_text(), path.name) for path in BENCH]
+    bench = {
+        names: set().union(*(_references(other, strings=True, names=names) for other in benches))
+        for names in (True, False)
+    }
     unreached = []
     for name, tree in trees.items():
         for node, label in _definitions(tree):
-            if node.name in bench or any(
-                node.name in _references(other, node if other is tree else None)
+            names = "." not in label  # a member is reached through an attribute
+            if node.name in bench[names] or any(
+                node.name in _references(other, node if other is tree else None, names=names)
                 for other in trees.values()
             ):
                 continue
@@ -80,6 +85,9 @@ def test_methods_and_properties_are_scanned():
     }
     assert {"Poly._raw", "Poly.degree", "Certificate.per_level", "BasePRational.digit"} <= labels
     assert not any(label.endswith(("__init__", "__hash__", "__post_init__")) for label in labels)
+    # a member is reached through an attribute, not a local of the same name
+    tree = ast.parse("digits = x.digit(1)")
+    assert _references(tree, names=False) == {"digit"}
 
 
 def test_every_top_level_definition_is_reached():

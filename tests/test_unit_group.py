@@ -1,4 +1,4 @@
-"""The unit-group table of a modulus and the shape sums read off it."""
+"""The unit-group table of a modulus and the shape bounds read off it."""
 
 import functools
 
@@ -23,9 +23,9 @@ from hybridqmc.walsh import (
     _modulus_bound,
     _rank_profile,
     _scaled_phi,
-    _shape_sums,
     _unit_group,
 )
+from shape_oracle import shape_sums
 
 
 @functools.lru_cache(maxsize=None)
@@ -83,7 +83,8 @@ def test_shape_sums_at_t2_only_read_the_table(monkeypatch):
         for module in (plattice, gfpoly, walsh):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, fn))
-    sums = [_shape_sums(cfg, poly_from_int(b, p)) for b in range(1, 2**4)]
+    _modulus_bound.cache_clear()
+    sums = [_modulus_bound(cfg, poly_from_int(b, p)) for b in range(1, 2**4)]
     assert calls == []
     assert [len(s) for s in sums] == [7, 6, 6, 5, 5, 5, 5, 4, 4, 4, 4, 4, 4, 4, 4]
 
@@ -103,4 +104,23 @@ def test_shape_sums_reject_a_multiple_of_the_modulus(t):
     pX = irreducible_poly(3, 3)
     cfg = LatticeConfig(3, pX, (Poly.x(3),) * t)
     with pytest.raises(ValueError, match="divisible by pX"):
-        _shape_sums(cfg, pX)
+        _modulus_bound(cfg, pX)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_modulus_bound_forms_no_poly_product(monkeypatch, t):
+    # the batch of one forms r_i = B*q_i mod pX with no Poly product; the
+    # counter does see the products of the tests' oracle
+    p = 2
+    pX = irreducible_poly(p, 6)
+    cfg = LatticeConfig(p, pX, (poly_parse("X^3+X+1", p), poly_parse("X^5+X^2", p))[:t])
+    _unit_group(pX)
+    _modulus_bound.cache_clear()
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for b in range(1, 2**4):
+        _modulus_bound(cfg, poly_from_int(b, p))
+    assert _modulus_bound.cache_info().misses == 15 and products == []
+    shape_sums(cfg, Poly.x(p))
+    assert len(products) == t

@@ -29,12 +29,12 @@ from hybridqmc.plattice import (
     sublattice_enumerate,
 )
 from hybridqmc.seqgen import HaltonConfig
+from shape_oracle import shape_sums
 from hybridqmc.walsh import (
     CharacterAccumulator,
     _combined_residues,
     _modulus_bound,
     _scaled_phi,
-    _shape_sums,
     character_sum,
     count_low_valuation,
     dual_test_matrix,
@@ -163,7 +163,8 @@ def test_scaled_phi_is_the_weighted_walsh_series(p):
                 e = walsh_exponent(k, x)
                 for s, c in enumerate(w):
                     series[(s + e) % p] += c
-            assert 3 * p * _rational(series) == _scaled_phi(x.digits(), p)
+            digits = [x.digit(j) for j in range(1, m + 1)]
+            assert 3 * p * _rational(series) == _scaled_phi(digits, p)
 
 
 def test_accumulator_invariants():
@@ -305,7 +306,7 @@ def test_walsh_bound_residue_independent():
 def _dual_weight_sum(cfg, modulus, d):
     # sum of product weights over the nonzero frequency tuples in the dual
     # of l*B (deg l < d), from its p^d points: p^-d * S_d / (3p)^t - 1
-    return Fraction(_shape_sums(cfg, modulus)[d], cfg.p**d * (3 * cfg.p) ** cfg.t) - 1
+    return Fraction(shape_sums(cfg, modulus)[d], cfg.p**d * (3 * cfg.p) ** cfg.t) - 1
 
 
 def _scaled_weight(k, p, m):
@@ -414,8 +415,8 @@ def _irreducibles(p, m):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_shape_sums_match_point_sums(data):
-    # _shape_sums reads every level off r_i = B*q_i mod pX: the rank
-    # profile at t = 1, the unit-group table at t >= 2
+    # the Poly-product oracle reads every level off r_i = B*q_i mod pX: the
+    # rank profile at t = 1, the unit-group table at t >= 2
     p = data.draw(st.sampled_from((2, 3, 5)), label="p")
     m = data.draw(st.integers(1, 5), label="m")
     t = data.draw(st.integers(1, 3), label="t")
@@ -425,7 +426,7 @@ def test_shape_sums_match_point_sums(data):
     k = data.draw(st.integers(0, m), label="deg B")
     B = poly_from_int(p**k + data.draw(st.integers(0, p**k - 1), label="B low"), p)
     assume(B != pX)
-    sums = _shape_sums(cfg, B)
+    sums = shape_sums(cfg, B)
     assert len(sums) == m - k + 1
     for d, got in enumerate(sums):
         assert got == _point_sum(cfg, B, d)
