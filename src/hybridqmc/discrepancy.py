@@ -499,7 +499,7 @@ def load_point_set(path):
                 continue
             rows.append(
                 tuple(
-                    _parse_coordinate(tok.group(), tok.start(), meta)
+                    _parse_coordinate(tok.group(), tok.start())
                     for tok in re.finditer(r"\S+", line)
                 )
             )
@@ -517,9 +517,8 @@ def _parse_header_value(key: str, text: str, line: str) -> int:
         raise ParseError(f"bad header {key}={text}: {exc}", line.index("=") + 1) from None
 
 
-def _parse_coordinate(token: str, position: int, meta: dict):
-    """A coordinate token: numerator/denominator or a decimal, in [0, 1).
-    Under a '# p=' header a power-of-p denominator gives a BasePRational."""
+def _parse_coordinate(token: str, position: int) -> Fraction:
+    """A coordinate token: numerator/denominator or a decimal, in [0, 1)."""
     num_s, slash, den_s = token.partition("/")
     try:
         if not slash:
@@ -530,13 +529,9 @@ def _parse_coordinate(token: str, position: int, meta: dict):
             num, den = int(num_s), int(den_s)
             if den <= 0:
                 raise ValueError("denominator must be positive")
+            value = Fraction(num, den)
     except ValueError as exc:
         raise ParseError(f"bad coordinate {token!r}: {exc}", position) from None
-    if not (0 <= num < den if slash else 0 <= value < 1):
+    if not 0 <= value < 1:
         raise ParseError(f"coordinate {token} outside [0, 1)", position)
-    if not slash:
-        return value
-    p, exponent, rest = meta.get("p"), 0, den
-    while p and rest % p == 0:
-        rest, exponent = rest // p, exponent + 1
-    return BasePRational(p, num, exponent) if p and rest == 1 else Fraction(num, den)
+    return value

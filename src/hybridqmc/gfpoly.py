@@ -54,24 +54,11 @@ def _is_prime(p: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A prime p >= 2 defining the coefficient field GF(p)."""
-
-    p: int
-
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p!r} is not prime")
-
-
 def as_prime(p) -> int:
-    """Coerce an int or PrimeModulus to a validated prime int."""
-    if type(p) is int and _is_prime(p):
+    """p itself when it is a prime int; raises ValueError otherwise."""
+    if isinstance(p, int) and _is_prime(p):
         return p
-    if isinstance(p, PrimeModulus):
-        return p.p
-    return PrimeModulus(p).p  # any other value gets its check and error message
+    raise ValueError(f"modulus {p!r} is not prime")
 
 
 class Poly:
@@ -365,6 +352,8 @@ def valuation(numerator: Poly, denominator: Poly):
 
 
 _SUPERFLUOUS = " \t"
+# the largest exponent poly_parse reads: the term form builds a list this long
+_MAX_EXPONENT = 2**16
 
 
 def poly_parse(text: str, p) -> Poly:
@@ -431,6 +420,9 @@ def _parse_term_form(text: str, p: int) -> Poly:
                     pos += 1
                 if not exp_digits:
                     raise ParseError("missing exponent after '^'", pos)
+                exp_digits = exp_digits.lstrip("0") or "0"
+                if len(exp_digits) > len(str(_MAX_EXPONENT)) or int(exp_digits) > _MAX_EXPONENT:
+                    raise ParseError(f"exponent above {_MAX_EXPONENT}", term_start)
                 exponent = int(exp_digits)
         if not coeff_digits and not has_x:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
@@ -488,10 +480,6 @@ class BasePRational(Fraction):
         self = super().__new__(cls, num, p**exponent)
         self.p, self.num, self.L = p, num, exponent
         return self
-
-    @classmethod
-    def zero(cls, p) -> "BasePRational":
-        return cls(p, 0, 0)
 
     def digit(self, j: int) -> int:
         """The j-th digit after the radix point (1-based); 0 beyond L."""

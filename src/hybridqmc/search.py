@@ -42,19 +42,22 @@ def search_budget() -> int:
 
 
 def check_search_budget(mode: str, p: int, m: int, t: int, budget: int | None = None):
-    """Raise BudgetExceededError when a search's candidates, (p^m - 1)^t
-    (exhaustive) or p^m - 1 (korobov), exceed the budget (default:
-    search_budget()).  As p^m - 1 >= 2^m - 1, an m or (for a base of 2 or
-    more) a t past the budget's bit length exceeds it unformed."""
+    """Raise BudgetExceededError when a search's candidate tuples, (p^m - 1)^t
+    (exhaustive) or p^m - 1 (korobov), or their generator slots, tuples * t,
+    exceed the budget (default: search_budget()).  As p^m - 1 >= 2^m - 1,
+    an m or (for a base of 2 or more) a t past the budget's bit length
+    exceeds it unformed."""
     budget = search_budget() if budget is None else budget
-    t, width = t if mode == "exhaustive" else 1, budget.bit_length()
+    power, width = t if mode == "exhaustive" else 1, budget.bit_length()
     base = p**m - 1 if m <= width else None
-    space = None if base is None or base > 1 and t > width else base**t
+    space = None if base is None or base > 1 and power > width else base**power
     if space is None or space > budget:
-        count = f"{p}^{m} - 1" if t == 1 else f"({p}^{m} - 1)^{t}"
+        count = f"{p}^{m} - 1" if power == 1 else f"({p}^{m} - 1)^{t}"
         count = space if space is not None and space.bit_length() <= 64 else count
         hint = "; consider the Korobov search" if mode == "exhaustive" else ""
         raise BudgetExceededError(f"{count} candidate tuples exceed budget {budget}{hint}")
+    if space * t > budget:
+        raise BudgetExceededError(f"{space} candidate tuples x t={t} exceed budget {budget}")
 
 
 def nonzero_polys(p: int, m: int) -> list:

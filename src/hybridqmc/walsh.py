@@ -1,7 +1,7 @@
 """Walsh characters, their decay weights, and sub-lattice character sums.
 
-Character sums over a sub-lattice are held as exponent-count
-accumulators so the central zero-or-full dichotomy is decided in exact
+A character sum over a sub-lattice is held as its tuple of exponent
+counts, so the central zero-or-full dichotomy is decided in exact
 integer arithmetic, with no complex value formed.  The
 weight attached to a frequency k with leading base-p digit K at level g
 is 1 / (p^(g+1) * sin(pi*K/p)^2), held exactly for every prime by its
@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .gfpoly import (
@@ -106,58 +105,28 @@ def walsh_weight_total(p: int, m: int, t: int, mode: str = "closed") -> Fraction
     return (sums[0] - sums[1]) ** t
 
 
-@dataclass(frozen=True)
-class CharacterAccumulator:
-    """counts[a] summands with character exponent a; the complex sum is
-    sum_a counts[a] * e(a/p)."""
-
-    p: int
-    counts: tuple
-
-    def __post_init__(self):
-        if len(self.counts) != self.p:
-            raise ValueError("need one count per residue")
-
-    @classmethod
-    def from_exponents(cls, p: int, exponents) -> "CharacterAccumulator":
-        counts = [0] * p
-        for a in exponents:
-            counts[a % p] += 1
-        return cls(p, tuple(counts))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def is_aligned(self) -> bool:
-        """All mass in a single exponent class: |sum| equals total (the
-        residue shift only contributes a unimodular factor)."""
-        return self.total in self.counts
-
-    @property
-    def is_uniform(self) -> bool:
-        """Counts equal across residues: the sum vanishes."""
-        return len(set(self.counts)) == 1
-
-    def magnitude(self) -> int:
-        """|sum| as an exact integer; raises if the dichotomy fails."""
-        if self.is_aligned:
-            return self.total
-        if self.is_uniform:
-            return 0
-        raise ArithmeticError("character sum is neither full nor zero")
-
-
-def character_sum(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> CharacterAccumulator:
-    """Exact exponent accumulator of the k-th character over the sub-lattice."""
+def character_sum(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> tuple:
+    """counts[a], the number of sub-lattice points whose k-th character
+    exponent is a, for a = 0..p-1: the complex sum is sum_a counts[a] * e(a/p)."""
     kvec = tuple(kvec)
     if len(kvec) != cfg.t:
         raise ValueError("frequency tuple length must equal the lattice dimension")
-    points = sublattice_enumerate(spec, cfg)
-    return CharacterAccumulator.from_exponents(
-        cfg.p, (walsh_exponent_vec(kvec, pt) for pt in points)
-    )
+    counts = [0] * cfg.p
+    for pt in sublattice_enumerate(spec, cfg):
+        counts[walsh_exponent_vec(kvec, pt)] += 1
+    return tuple(counts)
+
+
+def character_magnitude(counts) -> int:
+    """|sum_a counts[a] * e(a/p)| as an exact integer: the total when one
+    exponent class holds every count (the residue shift only contributes a
+    unimodular factor), 0 when the counts are equal; raises otherwise."""
+    total = sum(counts)
+    if total in counts:
+        return total
+    if len(set(counts)) == 1:
+        return 0
+    raise ArithmeticError("character sum is neither full nor zero")
 
 
 def dual_test_matrix(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> bool:

@@ -11,7 +11,6 @@ from hybridqmc.gfpoly import (
     BasePRational,
     ParseError,
     Poly,
-    PrimeModulus,
     ResidueClass,
     _is_prime,
     _long_division,
@@ -35,26 +34,25 @@ def P(text, p=2):
 
 
 def test_prime_modulus_rejects_composites():
-    assert PrimeModulus(2).p == 2
-    assert PrimeModulus(13).p == 13
+    assert as_prime(2) == 2
+    assert as_prime(13) == 13
     for bad in (0, 1, 4, 9, 15):
-        with pytest.raises(ValueError):
-            PrimeModulus(bad)
+        with pytest.raises(ValueError, match=f"modulus {bad} is not prime"):
+            as_prime(bad)
 
 
 @pytest.mark.parametrize("bad", [True, False, 1, 4, -3, 2.0, "2"])
 def test_as_prime_errors_match_prime_modulus(bad):
-    # the int fast path must not change what is accepted or what is said
-    with pytest.raises(ValueError) as expected:
-        PrimeModulus(bad)
+    # one message for every rejected modulus; a bool or a float is rejected
+    # even where its value is an int or a prime
     with pytest.raises(ValueError) as got:
         as_prime(bad)
-    assert str(got.value) == str(expected.value)
+    assert str(got.value) == f"modulus {bad!r} is not prime"
 
 
 def test_as_prime_accepts_primes_and_prime_moduli():
     assert as_prime(7) == 7 and type(as_prime(7)) is int
-    assert as_prime(PrimeModulus(5)) == 5
+    assert as_prime(2**61 - 1) == 2**61 - 1
 
 
 def test_primality_agrees_with_a_sieve():
@@ -327,6 +325,17 @@ def test_parse_errors_carry_position():
         poly_parse("X^", 2)
 
 
+def test_parse_caps_the_exponent():
+    # the term form builds a coefficient list as long as its largest exponent
+    assert poly_parse("X^65536+1", 2).degree == 2**16
+    assert poly_parse("X^0000002", 2) == Poly(2, (0, 0, 1))
+    # just above the cap first; the digit count alone rejects a long exponent
+    for text in ("X+X^65537", "X+X^" + "9" * 5000):
+        with pytest.raises(ParseError, match="exponent above 65536") as err:
+            poly_parse(text, 2)
+        assert err.value.position == 2
+
+
 def test_parse_format_roundtrip():
     rng = random.Random(17)
     for _ in range(400):
@@ -348,7 +357,7 @@ def test_base_p_rational_invariants():
     assert x.token() == "13/16"
     assert x == BasePRational(2, 13, 4)
     assert BasePRational(2, 1, 1) == BasePRational(2, 2, 2)  # value equality
-    assert Fraction(BasePRational.zero(3)) == 0
+    assert Fraction(BasePRational(3, 0, 0)) == 0
     with pytest.raises(ValueError):
         BasePRational(2, 4, 2)
     with pytest.raises(ValueError):

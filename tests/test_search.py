@@ -12,6 +12,7 @@ from hybridqmc.plattice import LatticeConfig
 from hybridqmc.search import (
     anchor_pair_set,
     average_bound_check,
+    check_search_budget,
     dual_solution_counts,
     negative_control_report,
     nonzero_polys,
@@ -51,6 +52,19 @@ def test_exhaustive_singleton_m1():
 def test_exhaustive_budget():
     with pytest.raises(BudgetExceededError, match="Korobov"):
         search_exhaustive(3, 2, H0, PX3, budget=10)
+
+
+@pytest.mark.parametrize(
+    "mode, p, m, t, tuples",
+    [("exhaustive", 2, 1, 10**8, 1), ("korobov", 2, 2, 10**8, 3), ("korobov", 2, 19, 2, 524287)],
+)
+def test_search_budget_counts_generator_slots(mode, p, m, t, tuples):
+    # a tuple of t generators is t slots: tuples * t is held to the budget
+    message = f"{tuples} candidate tuples x t={t} exceed budget {10**6}"
+    with pytest.raises(BudgetExceededError) as exc:
+        check_search_budget(mode, p, m, t, 10**6)
+    assert str(exc.value) == message
+    check_search_budget(mode, p, m, t, tuples * t)
 
 
 def test_exhaustive_m3_t2_with_base():
@@ -101,10 +115,14 @@ def test_dual_counts_examples():
 
 
 def test_dual_counts_respect_the_search_budget(monkeypatch):
-    # 7^2 = 49 general candidates and 7 Korobov ones at p = 2, m = 3, t = 2
+    # 7^2 = 49 general candidates and 7 Korobov ones at p = 2, m = 3, t = 2;
+    # the Korobov ones hold 7 * 2 = 14 generators
     monkeypatch.setenv("HYBRIDQMC_SEARCH_BUDGET", "10")
     with pytest.raises(BudgetExceededError, match="49 candidate tuples exceed budget 10"):
         dual_solution_counts((1, 0), Poly.one(2), PX3, 2, 3, "general")
+    with pytest.raises(BudgetExceededError, match="7 candidate tuples x t=2 exceed budget 10"):
+        dual_solution_counts((1, 0), Poly.one(2), PX3, 2, 3, "korobov")
+    monkeypatch.setenv("HYBRIDQMC_SEARCH_BUDGET", "14")
     assert dual_solution_counts((1, 0), Poly.one(2), PX3, 2, 3, "korobov").kernel == 0
     with pytest.raises(ValueError, match="unknown mode 'exhaustive'"):
         dual_solution_counts((1, 0), Poly.one(2), PX3, 2, 3, "exhaustive")

@@ -6,6 +6,9 @@ definition, and not in __init__.py, whose re-exports reach nothing by
 themselves) or in bench/.  Every method and property of such a class other
 than the double-underscore ones Python calls by itself must be named by an
 Attribute node there, as a local variable of the same name reaches nothing.
+An attribute on an instance may reach a member of any class, but one on a
+class, C.name with C a class of src/ that defines name, reaches only C's
+member.
 The benchmark's tracer also binds names by string through getattr, so a
 string constant in bench/ that spells the name counts as a reference.  A
 function that only tests call belongs in tests/, as their reference.
@@ -19,11 +22,12 @@ MODULES = sorted(p for p in (ROOT / "src" / "hybridqmc").glob("*.py") if p.name 
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
-def _references(tree, skip=None, strings=False, names=True) -> set:
+def _references(tree, skip=None, strings=False, names=True, classes=None) -> set:
     """The identifiers of tree's Attribute nodes outside the node skip, with
     names also of its Name nodes, and with strings also its string
-    constants."""
-    found, stack = set(), [tree]
+    constants.  An attribute C.name with name among classes[C], the members
+    of class C, is recorded as the label "C.name"."""
+    found, stack, classes = set(), [tree], classes or {}
     while stack:
         node = stack.pop()
         if node is skip:
@@ -31,7 +35,8 @@ def _references(tree, skip=None, strings=False, names=True) -> set:
         if names and isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            owner = getattr(node.value, "id", None)
+            found.add(f"{owner}.{node.attr}" if node.attr in classes.get(owner, ()) else node.attr)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.add(node.value)
         stack.extend(ast.iter_child_nodes(node))
@@ -41,16 +46,25 @@ def _references(tree, skip=None, strings=False, names=True) -> set:
 def _unreached() -> list:
     trees = {path.name: ast.parse(path.read_text(), path.name) for path in MODULES}
     benches = [ast.parse(path.read_text(), path.name) for path in BENCH]
+    classes = {}
+    for tree in trees.values():
+        for _, label in _definitions(tree):
+            if "." in label:
+                owner, member = label.split(".")
+                classes.setdefault(owner, set()).add(member)
     bench = {
-        names: set().union(*(_references(other, strings=True, names=names) for other in benches))
+        names: set().union(
+            *(_references(other, strings=True, names=names, classes=classes) for other in benches)
+        )
         for names in (True, False)
     }
     unreached = []
     for name, tree in trees.items():
         for node, label in _definitions(tree):
             names = "." not in label  # a member is reached through an attribute
-            if node.name in bench[names] or any(
-                node.name in _references(other, node if other is tree else None, names=names)
+            if {node.name, label} & bench[names] or any(
+                {node.name, label}
+                & _references(other, node if other is tree else None, names=names, classes=classes)
                 for other in trees.values()
             ):
                 continue
@@ -88,6 +102,10 @@ def test_methods_and_properties_are_scanned():
     # a member is reached through an attribute, not a local of the same name
     tree = ast.parse("digits = x.digit(1)")
     assert _references(tree, names=False) == {"digit"}
+    # a class-qualified attribute reaches only that class's member
+    tree = ast.parse("Poly.zero(2), x.zero, Fraction.zero, Poly.other")
+    classes = {"Poly": {"zero"}, "BasePRational": {"zero"}}
+    assert _references(tree, names=False, classes=classes) == {"Poly.zero", "zero", "other"}
 
 
 def test_every_top_level_definition_is_reached():

@@ -16,20 +16,6 @@ from hybridqmc.gfpoly import Poly, ResidueClass
 from hybridqmc.suites import run_suite
 
 
-class _BadAccumulator:
-    """A character sum whose magnitude is not an integer power of p."""
-
-    counts = (1, 2)
-
-    def __init__(self, magnitude):
-        self._magnitude = magnitude
-
-    def magnitude(self):
-        if self._magnitude is None:
-            raise ArithmeticError("not an exact magnitude")
-        return self._magnitude
-
-
 def _raise_kernel(*args):
     raise ArithmeticError("kernel count exceeds t")
 
@@ -107,7 +93,7 @@ CASES = {
     ),
     "dichotomy-accumulator": (
         "dichotomy",
-        {"character_sum": lambda orig: lambda spec, cfg, k: _BadAccumulator(None)},
+        {"character_sum": lambda orig: lambda spec, cfg, k: (1, 2)},
         (False, 0, "integer accumulator", (
             "counts (1, 2) at p=3 m=1 spec=SubLatticeSpec(u=1, block_start=0, "
             "cls=ResidueClass(modulus=Poly(3, '1'), residue=Poly(3, '0'))) k=(2,)"
@@ -115,7 +101,10 @@ CASES = {
     ),
     "dichotomy-magnitude": (
         "dichotomy",
-        {"character_sum": lambda orig: lambda spec, cfg, k: _BadAccumulator(-1)},
+        {
+            "character_sum": lambda orig: lambda spec, cfg, k: (1, 2),
+            "character_magnitude": lambda orig: lambda counts: -1,
+        },
         (False, 0, "magnitude", "|sum|=-1 at p=3 m=1 k=(2,)"),
     ),
     "dichotomy-agreement": (

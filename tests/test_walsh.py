@@ -31,10 +31,10 @@ from hybridqmc.plattice import (
 from hybridqmc.seqgen import HaltonConfig
 from shape_oracle import shape_sums
 from hybridqmc.walsh import (
-    CharacterAccumulator,
     _combined_residues,
     _modulus_bound,
     _scaled_phi,
+    character_magnitude,
     character_sum,
     count_low_valuation,
     dual_test_matrix,
@@ -168,24 +168,25 @@ def test_scaled_phi_is_the_weighted_walsh_series(p):
 
 
 def test_accumulator_invariants():
-    acc = CharacterAccumulator.from_exponents(2, [0, 0, 0, 0])
-    assert acc.is_aligned and acc.magnitude() == 4
-    acc = CharacterAccumulator.from_exponents(2, [0, 1, 0, 1])
-    assert acc.is_uniform and acc.magnitude() == 0
-    acc = CharacterAccumulator.from_exponents(2, [1])
-    assert acc.is_aligned and acc.magnitude() == 1
-    acc = CharacterAccumulator(3, (2, 1, 0))
-    with pytest.raises(ArithmeticError):
-        acc.magnitude()
-    assert CharacterAccumulator(3, (1, 1, 1)).magnitude() == 0
+    # exponent counts: aligned (one class holds the total), uniform, neither
+    assert character_magnitude((4, 0)) == 4
+    assert character_magnitude((0, 1)) == 1
+    assert character_magnitude((0, 0, 5)) == 5
+    assert character_magnitude((2, 2)) == 0
+    assert character_magnitude((1, 1, 1)) == 0
+    for counts in ((2, 1, 0), (3, 1), (1, 2)):
+        with pytest.raises(ArithmeticError, match="neither full nor zero"):
+            character_magnitude(counts)
+    # all zero: the empty sum is both aligned and uniform
+    assert character_magnitude((0, 0, 0)) == 0
 
 
 def test_character_sum_examples():
     cfg = LatticeConfig(2, PX2, (Poly.x(2),))
-    assert character_sum(FULL2, cfg, (0,)).magnitude() == 4
-    acc1 = character_sum(FULL2, cfg, (1,))
-    assert acc1.counts == (2, 2) and acc1.magnitude() == 0
-    assert character_sum(FULL2, cfg, (2,)).magnitude() == 0
+    assert character_sum(FULL2, cfg, (0,)) == (4, 0)
+    assert character_magnitude(character_sum(FULL2, cfg, (0,))) == 4
+    assert character_sum(FULL2, cfg, (1,)) == (2, 2)
+    assert character_magnitude(character_sum(FULL2, cfg, (2,))) == 0
 
 
 def test_character_sum_matches_complex_sum():
@@ -207,7 +208,7 @@ def test_character_sum_matches_complex_sum():
             cmath.exp(2j * cmath.pi * walsh_exponent_vec(kvec, pt) / p)
             for pt in sublattice_enumerate(spec, cfg)
         )
-        assert abs(abs(direct) - acc.magnitude()) < 1e-9
+        assert abs(abs(direct) - character_magnitude(acc)) < 1e-9
 
 
 def test_dual_tests_examples():
@@ -248,7 +249,7 @@ def test_dual_dichotomy_three_way_random():
         start = rng.randrange(p**m // p**u) * p**u
         spec = SubLatticeSpec(u, start, ResidueClass(modulus, residue))
         kvec = tuple(rng.randrange(p**m) for _ in range(t))
-        mag = character_sum(spec, cfg, kvec).magnitude()
+        mag = character_magnitude(character_sum(spec, cfg, kvec))
         assert mag in (0, p**spec.d)
         full = mag == p**spec.d
         assert dual_test_matrix(spec, cfg, kvec) == full
