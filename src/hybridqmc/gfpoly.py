@@ -352,6 +352,7 @@ def valuation(numerator: Poly, denominator: Poly):
 
 
 _SUPERFLUOUS = " \t"
+_DIGITS = "0123456789"  # str.isdigit also accepts digits int() rejects, such as "²"
 # the largest exponent poly_parse reads: the term form builds a list this long
 _MAX_EXPONENT = 2**16
 
@@ -365,6 +366,18 @@ def poly_parse(text: str, p) -> Poly:
     if stripped.startswith("["):
         return _parse_list_form(text, p)
     return _parse_term_form(text, p)
+
+
+def _parse_coefficient(digits: str, p: int, at: int) -> int:
+    """The ASCII decimal digits as a coefficient below p, rejecting one too
+    long to be below p before int() converts it."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(p)):
+        raise ParseError(f"coefficient of {len(digits)} digits out of range for p={p}", at)
+    c = int(digits)
+    if c >= p:
+        raise ParseError(f"coefficient {c} out of range for p={p}", at)
+    return c
 
 
 def _parse_list_form(text: str, p: int) -> Poly:
@@ -381,12 +394,9 @@ def _parse_list_form(text: str, p: int) -> Poly:
         for item in body.split(","):
             s = item.strip()
             at = pos + item.index(s) if s else pos
-            if not s.isdigit():
+            if not s or s.strip(_DIGITS):
                 raise ParseError(f"bad coefficient {s!r}", at)
-            c = int(s)
-            if c >= p:
-                raise ParseError(f"coefficient {c} out of range for p={p}", at)
-            coeffs.append(c)
+            coeffs.append(_parse_coefficient(s, p, at))
             pos += len(item) + 1
     return Poly(p, coeffs)
 
@@ -402,7 +412,7 @@ def _parse_term_form(text: str, p: int) -> Poly:
             break
         term_start = pos
         coeff_digits = ""
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos] in _DIGITS:
             coeff_digits += text[pos]
             pos += 1
         while pos < n and text[pos] in _SUPERFLUOUS:
@@ -415,7 +425,7 @@ def _parse_term_form(text: str, p: int) -> Poly:
             if pos < n and text[pos] == "^":
                 pos += 1
                 exp_digits = ""
-                while pos < n and text[pos].isdigit():
+                while pos < n and text[pos] in _DIGITS:
                     exp_digits += text[pos]
                     pos += 1
                 if not exp_digits:
@@ -426,9 +436,7 @@ def _parse_term_form(text: str, p: int) -> Poly:
                 exponent = int(exp_digits)
         if not coeff_digits and not has_x:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        coeff = int(coeff_digits) if coeff_digits else 1
-        if coeff >= p:
-            raise ParseError(f"coefficient {coeff} out of range for p={p}", term_start)
+        coeff = _parse_coefficient(coeff_digits, p, term_start) if coeff_digits else 1
         coeffs[exponent] = (coeffs.get(exponent, 0) + coeff) % p
         while pos < n and text[pos] in _SUPERFLUOUS:
             pos += 1

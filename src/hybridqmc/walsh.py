@@ -9,8 +9,13 @@ rational coordinates in the cyclotomic field Q(zeta), zeta = e(1/p).
 The Walsh bound sums these weights over the dual of a sub-lattice from
 the sub-lattice's points, where the weighted Walsh series is rational,
 so bounds are exact rationals for every prime.  _batch_bounds is the one
-route to every bound and _modulus_bound its cached batch of one; the
-route that forms B*q mod pX with a Poly product is the tests' oracle.
+route to every bound and _modulus_bound its cached batch of one.  A
+batch reads a shape's sums at the discrete log of r = B*q mod pX in the
+modulus's unit group; at t = 1 a batch of at least p^m - 1 tuples reads
+them off _group_sums, every unit's sums from one big-integer correlation
+per level, and a smaller one builds no unit group and reads the rank
+profile of r.  The route that forms B*q mod pX with a Poly product is
+the tests' oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import struct
 from fractions import Fraction
 
 from .gfpoly import (
@@ -321,17 +327,56 @@ def _modulus_bound(cfg: LatticeConfig, modulus: Poly) -> tuple:
     return bounds[: cfg.m - modulus.degree + 1]
 
 
+def _group_sums(pX: Poly) -> list:
+    """S_d(b) for d = 0..m, one array of machine words per level over
+    b < N = p^m - 1: the t = 1 sums of every unit r = g^b at once,
+    S_d(b) = (3p + m(p^2-1)) + sum_l F[log l + b] over nonzero l, deg l < d.
+    Level d < m adds the cyclic correlation of F with the logs k of
+    deg l = d - 1, read off one big-integer product of F's N little-endian
+    lanes, offset by min F to be nonnegative, and the level's log indicator
+    reversed: lane N-1+b of the product sums the terms with k + b < N and
+    lane b-1 those that wrap.  A lane holds at most (max F - min F) * N, so
+    no lane carries into the next.  Level m sums F over the whole group,
+    the same for every b.  struct packs the lanes: loading the array
+    module costs about 70 KB of resident memory, more than a desk-scale
+    search's tables."""
+    p, m = pX.p, pX.degree
+    n = p**m - 1
+    log, F = _unit_group(pX)
+    F = F[:n]
+    lo = min(F)
+    bits = ((max(F) - lo) * n).bit_length()
+    size, code = next(lane for lane in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if 8 * lane[0] >= bits)
+    signal = int.from_bytes(struct.pack(f"<{n}{code}", *[f - lo for f in F]), "little")
+    base = 3 * p + m * (p * p - 1)
+    levels = [memoryview(struct.pack("q", base) * n).cast("q")]
+    for d in range(1, m):
+        indicator = bytearray(n * size)
+        for k in log[p ** (d - 1) : p**d]:
+            indicator[(n - 1 - k) * size] = 1
+        product = (signal * int.from_bytes(indicator, "little")).to_bytes(2 * n * size, "little")
+        lanes = struct.unpack_from(f"<{2 * n - 1}{code}", product)
+        offset = lo * (p - 1) * p ** (d - 1)
+        wrapped = (0, *lanes[: n - 1])
+        sums = [s + x + y + offset for s, x, y in zip(levels[-1], lanes[n - 1 :], wrapped)]
+        levels.append(memoryview(struct.pack(f"{n}q", *sums)).cast("q"))
+    levels.append(memoryview(struct.pack("q", base + sum(F)) * n).cast("q"))
+    return levels
+
+
 def _batch_bounds(pX: Poly, moduli, qvecs) -> list:
     """Per shape modulus B, the bound tuple of B for every qvec (at t = 1
     running on to d = m), one tuple built per residue and no Poly product:
     as {l*B*q_i/pX} = {l*r_i/pX}, the sums S_d over the points l*B,
-    deg l < d, depend on r_i = B*q_i mod pX alone.  At t = 1 r's code is
-    B's coefficients times the columns X^k*q mod pX, stepped by pX's
-    recurrence, and S_d its rank profile; at t >= 2 the residues are logs,
-    log B + log q_i, sorted as the sum is symmetric."""
+    deg l < d, depend on r_i = B*q_i mod pX alone.  The residues are logs,
+    log B + log q_i, sorted as the sum is symmetric; at t = 1 a batch of at
+    least N = p^m - 1 tuples reads every unit's sums off _group_sums.  A
+    smaller t = 1 batch builds no unit group: r's code is B's coefficients
+    times the columns X^k*q mod pX, stepped by pX's recurrence, and S_d its
+    rank profile."""
     p, m, t = pX.p, pX.degree, len(qvecs[0])
     memo, rows = {}, [[] for _ in moduli]
-    if t == 1:
+    if t == 1 and len(moduli) * len(qvecs) < p**m - 1:
         low, powers = pX.coeffs[:-1], [p**j for j in range(m)]
         for (q,) in qvecs:
             columns = [[*q.coeffs, *[0] * (m - len(q.coeffs))]]
@@ -352,16 +397,21 @@ def _batch_bounds(pX: Poly, moduli, qvecs) -> list:
                 row.append(bound)
         return rows
     log, n = _unit_group(pX)[0], p**m - 1
+    levels = _group_sums(pX) if t == 1 else None
     logs = [[log[poly_to_int(q)] for q in qvec] for qvec in qvecs]
     for B, row in zip(moduli, rows):
-        dmax, shift = m - B.degree, log[poly_to_int(B % pX)]
+        dmax, shift = m if levels else m - B.degree, log[poly_to_int(B % pX)]
         if shift is None:  # B = 0 mod pX
             raise ValueError("shape modulus is divisible by pX")
         for qlogs in logs:
             key = (dmax, *sorted([(shift + x) % n for x in qlogs]))
             bound = memo.get(key)
             if bound is None:
-                bound = memo[key] = _bound_tuple(p, m, t, _table_sums(pX, key[1:], dmax))
+                if levels:
+                    sums = [level[key[1]] for level in levels]
+                else:
+                    sums = _table_sums(pX, key[1:], dmax)
+                bound = memo[key] = _bound_tuple(p, m, t, sums)
             row.append(bound)
     return rows
 

@@ -405,3 +405,21 @@ def test_base_sharing_a_factor_with_the_modulus_is_a_precondition_error(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "error: Halton base shares a factor with the lattice modulus\n"
+
+
+@pytest.mark.parametrize(
+    "px",
+    ["X^²+X+1", "[1,1,²]", "²X^2+X+1", "1" * 5001 + "X^2+X+1", "[1,1," + "1" * 5001 + "]"],
+    ids=["superscript-exponent", "superscript-list", "superscript-coefficient", "long-term", "long-list"],
+)
+def test_non_ascii_digits_and_long_coefficients_are_parse_errors(capsys, px):
+    # a coefficient is read from ASCII digits only, and one too long to be
+    # below p is rejected before int() converts it
+    code, out, err = run(capsys, "search", "korobov", "--p", "2", "--m", "2", "--px", px)
+    assert code == 1 and not out
+    assert err.startswith("parse error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_coefficient_with_leading_zeros_is_read_by_value(capsys):
+    code, out, _ = run(capsys, "search", "korobov", "--p", "2", "--m", "2", "--px", "[" + "0" * 5000 + "1,1,1]")
+    assert code == 0 and out == run(capsys, "search", "korobov", "--p", "2", "--m", "2")[1]

@@ -228,7 +228,7 @@ def test_negative_control_t1_certifies_the_unit_tuple_once():
 def test_exhaustive_t1_large_m(m, best, merit, average, worst):
     # every candidate at p=2, base X, modulus irreducible_poly(2, m); the
     # pinned values come from the image-pass Walsh sums, independent of the
-    # rank profile that now gives every t = 1 certificate
+    # unit-group correlation that now gives a whole t = 1 search's bounds
     res = search_exhaustive(m, 1, HaltonConfig.make(2, (Poly.x(2),)), irreducible_poly(2, m))
     assert len(res.reports) == 2**m - 1
     assert res.best.candidate == (P(best),)
@@ -238,9 +238,10 @@ def test_exhaustive_t1_large_m(m, best, merit, average, worst):
 
 
 def test_search_certifies_its_candidates_in_one_batch(monkeypatch):
-    # 63 candidates and 7 shapes X^j: the residues X^j * q mod pX come from a
-    # linear map, not one Poly product per (candidate, shape), and only the
-    # best candidate's 21 (level, shape) pairs go through _modulus_bound
+    # 63 candidates and 7 shapes X^j: the residues X^j * q mod pX are read
+    # as discrete logs, not formed by one Poly product per (candidate,
+    # shape), and only the best candidate's 21 (level, shape) pairs go
+    # through _modulus_bound
     pX = irreducible_poly(2, 6)
     halton = HaltonConfig.make(2, (Poly.x(2),))
     for cache in (discrepancy._shape_table, walsh._modulus_bound, walsh._rank_profile):

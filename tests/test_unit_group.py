@@ -1,6 +1,7 @@
 """The unit-group table of a modulus and the shape bounds read off it."""
 
 import functools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,15 +18,13 @@ from hybridqmc.gfpoly import (
     poly_to_int,
 )
 from hybridqmc.plattice import LatticeConfig
-from hybridqmc.search import search_exhaustive
-from hybridqmc.seqgen import HaltonConfig
 from hybridqmc.walsh import (
     _modulus_bound,
     _rank_profile,
     _scaled_phi,
     _unit_group,
 )
-from shape_oracle import shape_sums
+from shape_oracle import shape_bounds, shape_sums
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,22 +88,96 @@ def test_shape_sums_at_t2_only_read_the_table(monkeypatch):
     assert [len(s) for s in sums] == [7, 6, 6, 5, 5, 5, 5, 4, 4, 4, 4, 4, 4, 4, 4]
 
 
-def test_t1_search_builds_one_rank_profile_per_residue():
-    # r = X^j * q mod pX over 63 candidates and 7 shapes: 63 distinct units
-    pX = irreducible_poly(2, 6)
+def _clear_bound_caches():
     for cache in (_modulus_bound, _rank_profile, _unit_group):
         cache.cache_clear()
-    search_exhaustive(6, 1, HaltonConfig.make(2, (Poly.x(2),)), pX)
-    assert 0 < _rank_profile.cache_info().misses <= 63
-    assert _unit_group.cache_info().misses == 0
+
+
+def test_a_whole_group_batch_builds_one_unit_group_and_no_rank_profile():
+    # 63 candidates and the 7 shapes X^j of a p = 2, m = 6 search: every
+    # residue is read off one table of the whole unit group
+    pX = irreducible_poly(2, 6)
+    moduli = [poly_from_int(2**j, 2) for j in range(1, 8)]
+    qvecs = [(poly_from_int(q, 2),) for q in range(1, 64)]
+    _clear_bound_caches()
+    rows = walsh._batch_bounds(pX, moduli, qvecs)
+    assert _unit_group.cache_info().misses == 1
+    assert _rank_profile.cache_info()[:2] == (0, 0)
+    assert len(rows) == 7 and all(len(row) == 63 for row in rows)
+
+
+@pytest.mark.parametrize("m", [6, 20])
+def test_a_batch_of_one_builds_no_unit_group(m):
+    # a batch of one reads one rank profile; at m = 20 a unit-group table
+    # would hold 2^20 entries
+    pX = irreducible_poly(2, m)
+    cfg = LatticeConfig(2, pX, (poly_parse("X^3+X+1", 2),))
+    _clear_bound_caches()
+    bounds = _modulus_bound(cfg, poly_parse("X^2+1", 2))
+    assert len(bounds) == m - 1
+    assert _unit_group.cache_info()[:2] == (0, 0)
+    assert _rank_profile.cache_info().misses == 1
+
+
+def _group_moduli():
+    # p = 7 and p = 11 give negative F, so the lanes need their offset
+    out = []
+    for p, ms in ((2, (1, 2, 5, 8)), (3, (1, 3, 5)), (5, (1, 2, 3)), (7, (1, 2, 3)), (11, (1, 2))):
+        for m in ms:
+            irreducibles = _irreducibles(p, m)
+            out += [irreducibles[0], irreducibles[-1]] if len(irreducibles) > 1 else irreducibles
+    return out
+
+
+@pytest.mark.parametrize("pX", _group_moduli(), ids=str)
+def test_group_sums_are_the_rank_profile_of_every_unit(pX):
+    p, m = pX.p, pX.degree
+    log, F = _unit_group(pX)
+    levels = walsh._group_sums(pX)
+    assert len(levels) == m + 1 and all(len(level) == p**m - 1 for level in levels)
+    for code in range(1, p**m):
+        assert tuple(level[log[code]] for level in levels) == _rank_profile(pX, code)
+    if p >= 7 and m >= 2:
+        assert min(F) < 0
+
+
+@pytest.mark.parametrize("below", [1, 0], ids=["below", "at"])
+@pytest.mark.parametrize("shapes", [1, 3])
+@pytest.mark.parametrize(
+    "pX", [irreducible_poly(2, 5), irreducible_poly(3, 3), irreducible_poly(7, 2)], ids=str
+)
+def test_batch_bounds_match_the_oracle_on_both_sides_of_the_threshold(pX, shapes, below):
+    # N - 1 and N requests for one shape (the fewest at or above N for
+    # three), each candidate twice
+    p, m = pX.p, pX.degree
+    n = p**m - 1
+    moduli = [poly_parse(text, p) for text in ("X", "X+1", f"X^{m + 1}+1")[:shapes]]
+    count = -(-n // shapes) - below
+    qvecs = [(poly_from_int(1 + k // 2, p),) for k in range(count)]
+    assert len(set(qvecs)) < count
+    with mock.patch.object(walsh, "_group_sums", wraps=walsh._group_sums) as spy:
+        rows = walsh._batch_bounds(pX, moduli, qvecs)
+    assert spy.call_count == (shapes * count >= n) == (not below)
+    for B, row in zip(moduli, rows):
+        dmax = m - B.degree
+        for qvec, bounds in zip(qvecs, row):
+            assert bounds[: dmax + 1] == shape_bounds(LatticeConfig(p, pX, qvec), B)
+            r = poly_to_int(B * qvec[0] % pX)
+            assert bounds == walsh._bound_tuple(p, m, 1, _rank_profile(pX, r))
 
 
 @pytest.mark.parametrize("t", [1, 2])
 def test_shape_sums_reject_a_multiple_of_the_modulus(t):
+    # at t = 1 on both routes: a batch of one reads a rank profile, a batch
+    # of N = 26 requests the whole unit group
     pX = irreducible_poly(3, 3)
     cfg = LatticeConfig(3, pX, (Poly.x(3),) * t)
     with pytest.raises(ValueError, match="divisible by pX"):
         _modulus_bound(cfg, pX)
+    qvecs = [(poly_from_int(q, 3),) * t for q in range(1, 27)]
+    for moduli in ((pX,), (Poly.x(3), pX * Poly.x(3))):
+        with pytest.raises(ValueError, match="divisible by pX"):
+            walsh._batch_bounds(pX, moduli, qvecs)
 
 
 @pytest.mark.parametrize("t", [1, 2])
