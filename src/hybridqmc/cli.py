@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from decimal import Decimal
 
 from .discrepancy import (
     BudgetExceededError,
@@ -36,17 +37,22 @@ EXIT_BUDGET = 3
 
 
 _WORKERS_HELP = "accepted for compatibility; has no effect"
+# the longest decimal token that load_point_set reads back: int() of a
+# string takes at most 4,300 digits (Python's default limit)
+_MAX_PRECISION = 4300
 
 
 class _UsageError(Exception):
     pass
 
 
-def _int_at_least(name: str, low: int):
+def _int_in(name: str, low: int, high: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"{name} must be >= {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{name} must be <= {high}")
         return value
 
     parse.__name__ = name  # argparse names it in "invalid <name> value"
@@ -60,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hybridqmc", description=__doc__)
-    budget = _int_at_least("budget", 1)
+    budget = _int_in("budget", 1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a point set")
@@ -70,11 +76,11 @@ def _build_parser() -> _Parser:
     gen.add_argument("--bases", help="comma-separated Halton base polynomials")
     gen.add_argument("--q", help="comma-separated generator polynomials")
     gen.add_argument("--g", help="Korobov generator polynomial")
-    gen.add_argument("--t", type=_int_at_least("t", 1), help="number of Korobov components")
+    gen.add_argument("--t", type=_int_in("t", 1), help="number of Korobov components")
     gen.add_argument("--count", type=int, help="number of points")
     gen.add_argument("--n", type=int, help="emit the single point of this index")
     gen.add_argument("--format", choices=["rational", "decimal"], default="rational")
-    gen.add_argument("--precision", type=_int_at_least("precision", 1), default=12)
+    gen.add_argument("--precision", type=_int_in("precision", 1, _MAX_PRECISION), default=12)
     gen.add_argument("--output", help="output file (default: stdout)")
     gen.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
@@ -86,19 +92,19 @@ def _build_parser() -> _Parser:
     disc.add_argument("--bases")
     disc.add_argument("--q")
     disc.add_argument("--g")
-    disc.add_argument("--t", type=_int_at_least("t", 1))
+    disc.add_argument("--t", type=_int_in("t", 1))
     disc.add_argument("--budget", type=budget)
     disc.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     search = sub.add_parser("search", help="generator search with certificates")
     search.add_argument("mode", choices=["exhaustive", "korobov"])
     search.add_argument("--p", type=int, required=True)
-    search.add_argument("--m", type=_int_at_least("m", 1), required=True)
-    search.add_argument("--t", type=_int_at_least("t", 1), default=1)
+    search.add_argument("--m", type=_int_in("m", 1), required=True)
+    search.add_argument("--t", type=_int_in("t", 1), default=1)
     search.add_argument("--px", help="modulus (default: smallest irreducible)")
     search.add_argument("--bases", default="", help="Halton bases (may be empty)")
     search.add_argument("--budget", type=budget)
-    search.add_argument("--top", type=_int_at_least("top", 0), default=10)
+    search.add_argument("--top", type=_int_in("top", 0), default=10)
     search.add_argument("--output", help="report file (default: stdout)")
     search.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
@@ -175,18 +181,16 @@ def _cmd_disc(args) -> int:
             raise _UsageError("--p is required for certificate mode")
         halton = _halton_cfg(args)
         lattice = _lattice_cfg(args)
-        cert = discrepancy_certificate(lattice.m, halton, lattice)
-        lines = [
-            f"p={cert.p} m={cert.m} s={cert.s} t={cert.t}",
-            f"total={float(cert.total):.12g}",
-        ]
-        for lv in cert.per_level:
-            lines.append(f"  u={lv.u} value={float(lv.value):.12g} shapes={len(lv.shapes)}")
-            for sh in lv.shapes:
-                lines.append(
-                    f"    j={','.join(map(str, sh.exponents)) or '-'} degB={sh.deg_modulus}"
-                    f" d={sh.d} mult={sh.multiplicity} classBound={float(sh.class_bound):.12g}"
-                )
+        cert = discrepancy_certificate(lattice.m, halton, lattice).as_dict()
+        lines = [f"p={cert['p']} m={cert['m']} s={cert['s']} t={cert['t']}"]
+        lines.append(f"total={cert['total']:.12g}")
+        for lv in cert["perLevel"]:
+            lines.append(f"  u={lv['u']} value={lv['value']:.12g} shapes={len(lv['shapes'])}")
+            lines.extend(
+                f"    j={','.join(map(str, sh['exponents'])) or '-'} degB={sh['degB']}"
+                f" d={sh['d']} mult={sh['multiplicityBound']} classBound={sh['classBound']:.12g}"
+                for sh in lv["shapes"]
+            )
         _emit(("\n".join(lines) + "\n",), None)
         return EXIT_OK
     if not args.input:
@@ -199,7 +203,10 @@ def _cmd_disc(args) -> int:
             value = star_discrepancy_exact(points, budget=args.budget)
     else:
         value = prefix_reduction_bound(points, budget=args.budget)
-    _emit((f"{value} (= {float(value):.12g})\n",), None)
+    # str(int) refuses more than 4,300 digits; str(Decimal(int)) prints any
+    num, den = (str(Decimal(n)) for n in value.as_integer_ratio())
+    exact = num if den == "1" else f"{num}/{den}"
+    _emit((f"{exact} (= {float(value):.12g})\n",), None)
     return EXIT_OK
 
 
@@ -213,7 +220,7 @@ def _cmd_search(args) -> int:
     search = search_exhaustive if args.mode == "exhaustive" else search_korobov
     result = search(args.m, args.t, halton, pX, budget=args.budget)
     _emit((result.to_json(top=args.top) + "\n",), args.output)
-    return EXIT_OK if result.existence_ok else EXIT_PRECONDITION
+    return EXIT_OK
 
 
 def _cmd_verify(args) -> int:

@@ -244,44 +244,11 @@ def prefix_reduction_bound(points: PointSetD, budget: int | None = None) -> Frac
 
 
 @dataclass(frozen=True)
-class ShapeContribution:
-    """One modulus shape at one block level of the certificate."""
-
-    exponents: tuple
-    deg_modulus: int
-    d: int
-    multiplicity: int
-    class_bound: object
-
-    def as_dict(self) -> dict:
-        return {
-            "exponents": list(self.exponents),
-            "degB": self.deg_modulus,
-            "d": self.d,
-            "multiplicityBound": self.multiplicity,
-            "classBound": float(self.class_bound),
-        }
-
-
-@dataclass(frozen=True)
-class LevelBreakdown:
-    u: int
-    value: object
-    shapes: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "u": self.u,
-            "value": float(self.value),
-            "shapes": [s.as_dict() for s in self.shapes],
-        }
-
-
-@dataclass(frozen=True)
 class Certificate:
     """The hybrid discrepancy bound as integer numerators over p^m * (3p)^t:
-    the total, level values u = 0..m and class bounds; the total's Fraction
-    and per_level are built on first read."""
+    the total, the level values u = 0..m and, per level u >= 1, one class
+    bound per shape of table[u - 1]; the total's Fraction is built on first
+    read, and as_dict reads the rest straight off the integers."""
 
     p: int
     m: int
@@ -300,27 +267,27 @@ class Certificate:
     def total(self) -> Fraction:
         return Fraction(self.total_numerator, self.denominator)
 
-    @functools.cached_property
-    def per_level(self) -> tuple:
-        den = self.denominator
-        levels = [LevelBreakdown(0, Fraction(1), ())]
-        rows = zip(self.level_numerators[1:], self.table, self.shape_numerators)
-        for u, (num, table, nums) in enumerate(rows, start=1):
-            shapes = (
-                ShapeContribution(exps, deg_b, u - deg_b, mult, Fraction(bound, den))
-                for (exps, deg_b, mult, _), bound in zip(table, nums)
-            )
-            levels.append(LevelBreakdown(u, Fraction(num, den), tuple(shapes)))
-        return tuple(levels)
-
     def as_dict(self) -> dict:
+        """The certificate as JSON values, each float num / den: the total
+        and, per level u, its value and one entry per shape."""
+        den, levels = self.denominator, []
+        rows = zip(self.level_numerators, ((), *self.table), ((), *self.shape_numerators))
+        for u, (num, table, nums) in enumerate(rows):
+            shapes = [
+                {
+                    "exponents": list(exps), "degB": deg_b, "d": u - deg_b,
+                    "multiplicityBound": mult, "classBound": bound / den,
+                }
+                for (exps, deg_b, mult, _), bound in zip(table, nums)
+            ]
+            levels.append({"u": u, "value": num / den, "shapes": shapes})
         return {
             "p": self.p,
             "m": self.m,
             "s": self.s,
             "t": self.t,
             "total": float(self.total),
-            "perLevel": [lv.as_dict() for lv in self.per_level],
+            "perLevel": levels,
         }
 
 

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hybridqmc.cli import main
-from hybridqmc.discrepancy import _rescaled_columns, load_point_set
+from hybridqmc.discrepancy import _rescaled_columns, load_point_set, star_discrepancy_exact
 
 
 def run(capsys, *argv):
@@ -251,6 +253,7 @@ def test_workers_help_says_it_has_no_effect(capsys, command):
 
 
 GF256 = ("gen", "plattice", "--p", "2", "--px", "X^8+X^4+X^3+X+1", "--q", "X^7+1")
+HYBRID_9 = ("gen", "hybrid", "--p", "3", "--px", "X^2+1", "--bases", "X", "--q", "X+1")
 
 
 def test_decimal_file_reads_back(tmp_path, capsys):
@@ -360,6 +363,7 @@ def test_gen_count_errors_write_nothing(tmp_path, capsys, argv, message):
         (("search", "korobov", "--p", "2", "--m", "3", "--budget", "0"), "budget must be >= 1"),
         (("disc", "exact", "--input", "points.txt", "--budget", "0"), "budget must be >= 1"),
         (("disc", "prefix", "--input", "points.txt", "--budget", "-1"), "budget must be >= 1"),
+        ((*HYBRID_9, "--format", "decimal", "--precision", "4301"), "precision must be <= 4300"),
     ],
 )
 def test_m_and_t_below_one_are_usage_errors(tmp_path, capsys, argv, message):
@@ -423,3 +427,73 @@ def test_non_ascii_digits_and_long_coefficients_are_parse_errors(capsys, px):
 def test_a_coefficient_with_leading_zeros_is_read_by_value(capsys):
     code, out, _ = run(capsys, "search", "korobov", "--p", "2", "--m", "2", "--px", "[" + "0" * 5000 + "1,1,1]")
     assert code == 0 and out == run(capsys, "search", "korobov", "--p", "2", "--m", "2")[1]
+
+
+@pytest.mark.parametrize("precision", ["1500", "4300"])
+def test_exact_answers_of_any_size_are_printed(tmp_path, capsys, precision):
+    # at 1,500 digits D* has a numerator of 14,949 bits, past the 4,300
+    # digits str(int) prints; 4,300 is the largest precision gen accepts
+    target = tmp_path / "pts.txt"
+    argv = (*HYBRID_9, "--format", "decimal", "--precision", precision, "--output", str(target))
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, "disc", "exact", "--input", str(target))
+    assert code == 0 and not err
+    exact, _, approx = out.partition(" ")
+    num, _, den = exact.partition("/")
+    assert num.isdigit() and den.isdigit()
+    expected = star_discrepancy_exact(load_point_set(target)[0])
+    # Decimal reads any number of digits, int() at most 4,300
+    assert Fraction(Decimal(num)) / Fraction(Decimal(den)) == expected
+    assert approx == f"(= {float(expected):.12g})\n" == "(= 0.351165980796)\n"
+
+
+def _text_levels(out):
+    """The level and shape lines of disc certificate, as tuples of fields."""
+    return [tuple(field.split("=")[1] for field in line.split()) for line in out.splitlines()[2:]]
+
+
+def _json_levels(per_level):
+    rows = []
+    for level in per_level:
+        rows.append((str(level["u"]), f"{level['value']:.12g}", str(len(level["shapes"]))))
+        rows.extend(
+            (
+                ",".join(map(str, shape["exponents"])) or "-",
+                str(shape["degB"]),
+                str(shape["d"]),
+                str(shape["multiplicityBound"]),
+                f"{shape['classBound']:.12g}",
+            )
+            for shape in level["shapes"]
+        )
+    return rows
+
+
+@pytest.mark.parametrize(
+    "search, generators",
+    [
+        (("exhaustive", "--p", "2", "--m", "4", "--bases", "X"), lambda c: ("--q", ",".join(c))),
+        (("exhaustive", "--p", "3", "--m", "2", "--bases", "X"), lambda c: ("--q", ",".join(c))),
+        (("korobov", "--p", "2", "--m", "3", "--t", "2"), lambda c: ("--g", c[0], "--t", "2")),
+        (("korobov", "--p", "3", "--m", "2", "--t", "2", "--bases", "X+1"), lambda c: ("--g", c[0], "--t", "2")),
+    ],
+    ids=["exhaustive-t1-p2", "exhaustive-t1-p3", "korobov-t2-p2", "korobov-t2-p3"],
+)
+def test_certificate_text_matches_search_per_level(capsys, search, generators):
+    # the best candidate's breakdown in the search JSON and the text of disc
+    # certificate for the same configuration agree line for line
+    code, out, _ = run(capsys, "search", *search, "--top", "1")
+    assert code == 0
+    report = json.loads(out)
+    bases = ",".join(report["bases"])
+    argv = ("disc", "certificate", "--p", str(report["p"]), "--px", report["pX"], "--bases", bases)
+    code, text, _ = run(capsys, *argv, *generators(report["best"]["candidate"]))
+    assert code == 0
+    head = text.splitlines()[:2]
+    assert head == [
+        f"p={report['p']} m={report['m']} s={report['s']} t={report['t']}",
+        f"total={report['best']['merit']:.12g}",
+    ]
+    levels = _text_levels(text)
+    assert len(levels) > report["m"] + 1
+    assert levels == _json_levels(report["perLevel"])

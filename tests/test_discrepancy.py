@@ -318,9 +318,10 @@ def test_certificate_example_s0():
     lat = LatticeConfig(2, P("X^2+X+1"), (Poly.x(2),))
     cfg = HaltonConfig.make(2, ())
     cert = discrepancy_certificate(2, cfg, lat)
-    values = {lv.u: lv.value for lv in cert.per_level}
-    assert values[0] == 1
-    assert cert.total == 1 + values[2] + (values[0] + values[1])
+    den, levels = cert.denominator, cert.level_numerators
+    assert levels[0] == den
+    assert cert.total_numerator == den + levels[2] + (levels[0] + levels[1])
+    assert cert.total == F(cert.total_numerator, den)
     pts = PointSetD(hybrid_point_set(2, cfg, lat))
     assert pts.n * star_discrepancy_exact(pts) <= cert.total
 
@@ -339,19 +340,22 @@ def test_certificate_class_bounds_capped():
     lat = LatticeConfig(2, P("X^4+X+1"), (P("X^3+1"),))
     cfg = HaltonConfig.make(2, (Poly.x(2),))
     cert = discrepancy_certificate(4, cfg, lat)
-    for lv in cert.per_level:
-        for sh in lv.shapes:
-            if sh.d >= 0:
-                assert sh.class_bound <= 2**sh.d
+    den = cert.denominator
+    assert len(cert.table) == len(cert.shape_numerators) == 4
+    for u, (table, nums) in enumerate(zip(cert.table, cert.shape_numerators), start=1):
+        assert len(nums) == len(table)
+        for (_, deg_b, _, _), num in zip(table, nums):
+            if u - deg_b >= 0:
+                assert num <= 2 ** (u - deg_b) * den
             else:
-                assert sh.class_bound == 1
+                assert num == den
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_certificate_total_is_rebuilt_from_per_level(data):
-    # the breakdown is built on first read from the integer numerators; its
-    # level values must give back the total, and each value its shapes
+    # the level numerators must give back the total, each level its shapes'
+    # class numerators, and as_dict every one of them as num / den exactly
     p = data.draw(st.sampled_from((2, 3)), label="p")
     m = data.draw(st.integers(2, 5 if p == 2 else 3), label="m")
     bases = data.draw(st.sampled_from(((), ("X",), ("X", "X+1"))), label="bases")
@@ -360,15 +364,28 @@ def test_certificate_total_is_rebuilt_from_per_level(data):
     qvec = data.draw(st.lists(st.integers(1, p**m - 1), min_size=t, max_size=t), label="q")
     lattice = LatticeConfig(p, irreducible_poly(p, m), tuple(poly_from_int(q, p) for q in qvec))
     cert = discrepancy_certificate(m, halton, lattice)
-    levels = cert.per_level
-    assert levels is cert.per_level
-    assert [lv.u for lv in levels] == list(range(m + 1))
-    values = [lv.value for lv in levels]
-    assert cert.total == 1 + values[m] + (p - 1) * sum(values[:m])
-    assert values[0] == 1
-    for lv in levels[1:]:
-        assert all(type(sh.class_bound) is Fraction for sh in lv.shapes)
-        assert lv.value == len(bases) + sum(sh.multiplicity * sh.class_bound for sh in lv.shapes)
+    den, levels = cert.denominator, cert.level_numerators
+    assert len(levels) == m + 1 and len(cert.table) == len(cert.shape_numerators) == m
+    assert levels[0] == den
+    assert cert.total_numerator == den + levels[m] + (p - 1) * sum(levels[:m])
+    report = cert.as_dict()
+    assert report["total"] == float(cert.total) == float(F(cert.total_numerator, den))
+    assert report["perLevel"][0] == {"u": 0, "value": 1.0, "shapes": []}
+    rows = zip(report["perLevel"][1:], levels[1:], cert.table, cert.shape_numerators)
+    for u, (entry, num, table, nums) in enumerate(rows, start=1):
+        assert len(nums) == len(table)
+        assert num == len(bases) * den + sum(mult * n for (_, _, mult, _), n in zip(table, nums))
+        assert entry["u"] == u and entry["value"] == float(F(num, den))
+        assert entry["shapes"] == [
+            {
+                "exponents": list(exps),
+                "degB": deg_b,
+                "d": u - deg_b,
+                "multiplicityBound": mult,
+                "classBound": float(F(n, den)),
+            }
+            for (exps, deg_b, mult, _), n in zip(table, nums)
+        ]
 
 
 @functools.lru_cache(maxsize=None)

@@ -442,19 +442,20 @@ def test_certificate_class_bounds_match_per_level_sums(p, m, q, total, shapes):
     bases = (P("X", p), P("X+1", p))
     cfg = LatticeConfig(p, pX, (P(q, p),))
     cert = discrepancy_certificate(m, HaltonConfig.make(p, bases), cfg)
-    checked = 0
-    for level in cert.per_level:
-        for shape in level.shapes:
-            if shape.d < 0:
-                assert shape.class_bound == 1
+    den, checked = cert.denominator, 0
+    for u, (table, nums) in enumerate(zip(cert.table, cert.shape_numerators), start=1):
+        for (exps, deg_b, _, _), num in zip(table, nums):
+            d = u - deg_b
+            if d < 0:
+                assert num == den
                 continue
             B = Poly.one(p)
-            for b, j in zip(bases, shape.exponents):
+            for b, j in zip(bases, exps):
                 for _ in range(j):
                     B = B * b
-            ref = _dual_weight_sum_per_level(cfg, B, shape.d)
-            cap = p**shape.d
-            assert shape.class_bound == min(Fraction(1, p ** (m - shape.d)) + cap * ref, cap)
+            ref = _dual_weight_sum_per_level(cfg, B, d)
+            cap = p**d
+            assert Fraction(num, den) == min(Fraction(1, p ** (m - d)) + cap * ref, cap)
             checked += 1
     assert checked == shapes
     assert cert.total == total
