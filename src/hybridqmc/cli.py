@@ -15,6 +15,7 @@ import sys
 from decimal import Decimal
 
 from .discrepancy import (
+    _MAX_PRECISION,
     BudgetExceededError,
     discrepancy_certificate,
     load_point_set,
@@ -37,9 +38,6 @@ EXIT_BUDGET = 3
 
 
 _WORKERS_HELP = "accepted for compatibility; has no effect"
-# the longest decimal token that load_point_set reads back: int() of a
-# string takes at most 4,300 digits (Python's default limit)
-_MAX_PRECISION = 4300
 
 
 class _UsageError(Exception):

@@ -28,6 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import add, itemgetter
 
 import numpy as _np
 
@@ -335,9 +336,10 @@ def certificates(m: int, halton_cfg: HaltonConfig, pX: Poly, qvecs) -> list:
     modulus degree exceeds u).  The multiplicity is prod (p^(e_i) - 1),
     with one extra class at j_i = ceil(u/e_i) covering boxes that span a
     full coordinate.  Class bounds, level values and the total are summed
-    as integers over p^m * (3p)^t; the class bounds of every shape and
-    candidate come from one walsh batch, which builds one bound tuple per
-    residue.
+    as integers over p^m * (3p)^t, a column over the batch at a time: a
+    shape's class bounds, read off one walsh batch, are one list over the
+    candidates, a level is the element-wise sum of multiplicity times
+    column, and the totals are one vector, den + L_m + (p-1) sum_(u<m) L_u.
     """
     p, qvecs = halton_cfg.p, [tuple(qvec) for qvec in qvecs]
     if pX.p != p:
@@ -356,24 +358,24 @@ def certificates(m: int, halton_cfg: HaltonConfig, pX: Poly, qvecs) -> list:
     tables = _shape_table(halton_cfg.bases, pX)
     moduli = list(dict.fromkeys(mod for table in tables for *_, mod in table if mod is not None))
     bounds = dict(zip(moduli, _batch_bounds(pX, moduli, qvecs)))
-    # per level: (multiplicity, d, bound tuples per candidate or None for d < 0)
-    rows = [
-        [(mult, u - deg_b, bounds.get(mod)) for _, deg_b, mult, mod in table]
-        for u, table in enumerate(tables, start=1)
+    n, levels, shapes = len(qvecs), [], []
+    for u, table in enumerate(tables, start=1):
+        # one column of class numerators per shape over the batch, den for d < 0
+        columns = [
+            [den] * n if mod is None else list(map(itemgetter(u - deg_b), bounds[mod]))
+            for _, deg_b, _, mod in table
+        ]
+        level = [halton_cfg.s * den] * n
+        for (_, _, mult, _), column in zip(table, columns):
+            level = list(map(add, level, map(mult.__mul__, column)))
+        levels.append(level)
+        shapes.append(zip(*columns))
+    lower = functools.reduce(functools.partial(map, add), levels[:-1], itertools.repeat(den))
+    totals = map(add, levels[-1], map((p - 1).__mul__, lower))
+    return [
+        Certificate(p, m, halton_cfg.s, t, den + total, nums, shape, tables)
+        for total, nums, shape in zip(totals, zip(itertools.repeat(den), *levels), zip(*shapes))
     ]
-    s_den = halton_cfg.s * den
-    out = []
-    for j in range(len(qvecs)):
-        levels, shapes = [den], []
-        for row in rows:
-            nums = tuple(den if col is None else col[j][d] for _, d, col in row)
-            levels.append(s_den + sum(mult * num for (mult, _, _), num in zip(row, nums)))
-            shapes.append(nums)
-        total = den + levels[m] + (p - 1) * sum(levels[:m])
-        out.append(
-            Certificate(p, m, halton_cfg.s, t, total, tuple(levels), tuple(shapes), tables)
-        )
-    return out
 
 
 def discrepancy_certificate(
@@ -385,6 +387,9 @@ def discrepancy_certificate(
 
 _HEADER_KEYS = ("p", "m", "dim", "count")
 _DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # as --format decimal writes it
+# the longest decimal token that load_point_set reads back: int() of a
+# string takes at most 4,300 digits (Python's default limit)
+_MAX_PRECISION = 4300
 
 
 def _decimal_token(value: Fraction, precision: int) -> str:
@@ -401,8 +406,8 @@ def _decimal_token(value: Fraction, precision: int) -> str:
 
 def format_point_line(point, fmt: str = "rational", precision: int = 12) -> str:
     """One output line: space-separated coordinate tokens."""
-    if fmt == "decimal" and precision < 1:
-        raise ValueError("decimal precision must be >= 1")
+    if fmt == "decimal" and not 1 <= precision <= _MAX_PRECISION:
+        raise ValueError(f"decimal precision must be in 1..{_MAX_PRECISION}")
     tokens = []
     for c in point:
         if fmt == "rational":

@@ -13,9 +13,9 @@ route to every bound and _modulus_bound its cached batch of one.  A
 batch reads a shape's sums at the discrete log of r = B*q mod pX in the
 modulus's unit group; at t = 1 a batch of at least p^m - 1 tuples reads
 them off _group_sums, every unit's sums from one big-integer correlation
-per level, and a smaller one builds no unit group and reads the rank
-profile of r.  The route that forms B*q mod pX with a Poly product is
-the tests' oracle.
+per level, capped a level column at a time, and a smaller one builds no
+unit group and reads the rank profile of r.  The route that forms B*q
+mod pX with a Poly product is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -308,15 +308,17 @@ def _table_sums(pX: Poly, shifts, dmax: int) -> tuple:
     return tuple([prefix[p**d - 1] for d in range(dmax + 1)])
 
 
-def _bound_tuple(p: int, m: int, t: int, sums) -> tuple:
-    """For every d, t*p^(d-m) plus p^d times the dual weight sum
-    p^-d * S_d/(3p)^t - 1, capped at p^d, as an integer over p^m * (3p)^t:
+def _bound_tuples(p: int, m: int, t: int, levels) -> list:
+    """The bound tuple of every lane of the sum columns levels[d] = S_d:
+    t*p^(d-m) plus p^d times the dual weight sum p^-d * S_d/(3p)^t - 1,
+    capped at p^d, as an integer over p^m * (3p)^t, one list per level:
     min(t*c + p^m*(S_d - c), p^m*c) with c = p^d*(3p)^t."""
-    pm, c, out = p**m, (3 * p) ** t, []
-    for s in sums:
-        out.append(min(t * c + pm * (s - c), pm * c))
+    pm, c, columns = p**m, (3 * p) ** t, []
+    for level in levels:
+        low, cap = (t - pm) * c, pm * c
+        columns.append([min(low + pm * s, cap) for s in level])
         c *= p
-    return tuple(out)
+    return list(zip(*columns))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -370,14 +372,14 @@ def _batch_bounds(pX: Poly, moduli, qvecs) -> list:
     as {l*B*q_i/pX} = {l*r_i/pX}, the sums S_d over the points l*B,
     deg l < d, depend on r_i = B*q_i mod pX alone.  The residues are logs,
     log B + log q_i, sorted as the sum is symmetric; at t = 1 a batch of at
-    least N = p^m - 1 tuples reads every unit's sums off _group_sums.  A
-    smaller t = 1 batch builds no unit group: r's code is B's coefficients
-    times the columns X^k*q mod pX, stepped by pX's recurrence, and S_d its
-    rank profile."""
+    least N = p^m - 1 tuples caps every unit's sums off _group_sums and
+    reads each at (log B + log q) mod N.  A smaller t = 1 batch builds no
+    unit group: r's code is B's coefficients times the columns X^k*q mod
+    pX, stepped by pX's recurrence, and S_d its rank profile."""
     p, m, t = pX.p, pX.degree, len(qvecs[0])
-    memo, rows = {}, [[] for _ in moduli]
     if t == 1 and len(moduli) * len(qvecs) < p**m - 1:
         low, powers = pX.coeffs[:-1], [p**j for j in range(m)]
+        lanes, rows = {}, [[] for _ in moduli]  # lanes: residue code -> its lane
         for (q,) in qvecs:
             columns = [[*q.coeffs, *[0] * (m - len(q.coeffs))]]
             for B, row in zip(moduli, rows):
@@ -391,28 +393,25 @@ def _batch_bounds(pX: Poly, moduli, qvecs) -> list:
                 code = sum(x % p * w for x, w in zip(r, powers))
                 if not code:  # q is a unit, so r = 0 only for B = 0 mod pX
                     raise ValueError("shape modulus is divisible by pX")
-                bound = memo.get(code)
-                if bound is None:
-                    bound = memo[code] = _bound_tuple(p, m, 1, _rank_profile(pX, code))
-                row.append(bound)
-        return rows
+                row.append(lanes.setdefault(code, len(lanes)))
+        bounds = _bound_tuples(p, m, 1, zip(*[_rank_profile(pX, code) for code in lanes]))
+        return [[bounds[k] for k in row] for row in rows]
     log, n = _unit_group(pX)[0], p**m - 1
-    levels = _group_sums(pX) if t == 1 else None
+    units = _bound_tuples(p, m, 1, _group_sums(pX)) if t == 1 else None
     logs = [[log[poly_to_int(q)] for q in qvec] for qvec in qvecs]
-    for B, row in zip(moduli, rows):
-        dmax, shift = m if levels else m - B.degree, log[poly_to_int(B % pX)]
+    memo, rows = {}, []
+    for B in moduli:
+        dmax, shift = m - B.degree, log[poly_to_int(B % pX)]
         if shift is None:  # B = 0 mod pX
             raise ValueError("shape modulus is divisible by pX")
-        for qlogs in logs:
-            key = (dmax, *sorted([(shift + x) % n for x in qlogs]))
-            bound = memo.get(key)
-            if bound is None:
-                if levels:
-                    sums = [level[key[1]] for level in levels]
-                else:
-                    sums = _table_sums(pX, key[1:], dmax)
-                bound = memo[key] = _bound_tuple(p, m, t, sums)
-            row.append(bound)
+        if units:
+            rows.append([units[(shift + x) % n] for (x,) in logs])
+            continue
+        keys = [(dmax, *sorted([(shift + x) % n for x in qlogs])) for qlogs in logs]
+        lanes = [key for key in dict.fromkeys(keys) if key not in memo]
+        sums = zip(*[_table_sums(pX, key[1:], dmax) for key in lanes])
+        memo.update(zip(lanes, _bound_tuples(p, m, t, sums)))
+        rows.append([memo[key] for key in keys])
     return rows
 
 

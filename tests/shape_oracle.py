@@ -5,7 +5,7 @@ division, then read off r_1's rank profile at t = 1 or off pX's
 unit-group table at log r_i for t >= 2."""
 
 from hybridqmc.gfpoly import poly_to_int
-from hybridqmc.walsh import _bound_tuple, _rank_profile, _table_sums, _unit_group
+from hybridqmc.walsh import _bound_tuples, _rank_profile, _table_sums, _unit_group
 
 
 def shape_sums(cfg, modulus) -> tuple:
@@ -22,5 +22,7 @@ def shape_sums(cfg, modulus) -> tuple:
 
 
 def shape_bounds(cfg, modulus) -> tuple:
-    """The bound tuple of shape B = modulus for d = 0..m - deg B."""
-    return _bound_tuple(cfg.p, cfg.m, cfg.t, shape_sums(cfg, modulus))
+    """The bound tuple of shape B = modulus for d = 0..m - deg B: the one
+    lane of walsh._bound_tuples over one-lane sum columns, () past d = m."""
+    sums = shape_sums(cfg, modulus)
+    return _bound_tuples(cfg.p, cfg.m, cfg.t, zip(sums))[0] if sums else ()

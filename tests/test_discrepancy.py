@@ -5,12 +5,14 @@ import random
 import tempfile
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hybridqmc.discrepancy as disc
+import hybridqmc.walsh as walsh
 from hybridqmc.discrepancy import (
     BudgetExceededError,
     PointSetD,
@@ -35,6 +37,7 @@ from hybridqmc.gfpoly import (
     poly_parse,
 )
 from hybridqmc.plattice import LatticeConfig, coprime_to_irreducible
+from hybridqmc.search import search_exhaustive
 from hybridqmc.walsh import _modulus_bound
 from hybridqmc.seqgen import HaltonConfig, hybrid_point_set
 from shape_oracle import shape_bounds
@@ -437,6 +440,14 @@ def _reference_fields(m, halton, pX, qvec) -> tuple:
 @example((P("X^4+X^3+X^2+X+1"), (), [(2, 7, 9)]))
 @example((P("X+1"), ("X",), [(1, 1)]))  # m = 1
 @example((P("X", 3), (), [(2,), (1,), (2,)]))
+# every nonzero q: at least N = p^m - 1 requests, the t = 1 whole-group route
+@example((P("X^4+X+1"), ("X",), [(q,) for q in range(1, 16)]))
+@example((P("X^4+X+1"), ("X", "X+1"), [(q,) for q in range(1, 16)]))
+@example((P("X^2+1", 3), ("X",), [(q,) for q in range(1, 9)]))
+@example((P("X^2+1", 7), ("X",), [(q,) for q in range(1, 49)]))  # min F < 0
+@example((P("X^4+X^3+X^2+X+1"), ("X",), [(q,) for q in range(1, 16)]))
+@example((P("X^4+X+1"), ("X",), [(7,)]))  # a batch of one, below N
+@example((P("X+1"), (), [(1,)]))  # a batch of one at N = 1
 def test_batch_certificates_match_the_per_shape_route(case):
     # every certificate of the batch equals, field by field and in input
     # order, the one assembled from the Poly-product oracle per (lattice,
@@ -454,6 +465,20 @@ def test_batch_certificates_match_the_per_shape_route(case):
         )
         assert fields == _reference_fields(m, halton, pX, qvec)
         assert cert.total == Fraction(fields[4], p**m * (3 * p) ** cert.t)
+
+
+def test_search_merits_match_the_per_shape_route():
+    # an exhaustive t = 1 search over its N = 26 candidates reads the whole
+    # unit group; every merit is the oracle's total over den, and the
+    # average is the mean of those totals
+    pX, halton = irreducible_poly(3, 3), HaltonConfig.make(3, (Poly.x(3),))
+    with mock.patch.object(walsh, "_group_sums", wraps=walsh._group_sums) as spy:
+        result = search_exhaustive(3, 1, halton, pX)
+    assert spy.call_count == 1 and len(result.reports) == 26
+    den = 3**3 * 9
+    totals = [_reference_fields(3, halton, pX, r.candidate)[4] for r in result.reports]
+    assert [r.merit for r in result.reports] == [Fraction(total, den) for total in totals]
+    assert result.average == Fraction(sum(totals), len(totals) * den)
 
 
 def test_batch_certificates_check_their_input():
@@ -584,6 +609,22 @@ def test_format_point_line_tokens():
     for precision in (0, -3):
         with pytest.raises(ValueError):
             format_point_line((F(1, 3),), "decimal", precision)
+
+
+def test_decimal_precision_is_capped_in_the_library(tmp_path):
+    # 4,300 digits is the longest token load_point_set reads back; past it
+    # the check fires before any arithmetic (a non-number coordinate would
+    # otherwise fail in Fraction), and save_point_set writes nothing
+    assert format_point_line((F(1, 3),), "decimal", 4300) == "0." + "3" * 4300
+    for precision in (4301, 10**9):
+        with pytest.raises(ValueError, match=r"precision must be in 1\.\.4300"):
+            format_point_line(("x",), "decimal", precision)
+    with pytest.raises(ValueError, match=r"precision must be in 1\.\.4300"):
+        list(point_file_lines([(F(1, 3),)], {}, "decimal", 4301))
+    target = tmp_path / "points.txt"
+    with pytest.raises(ValueError, match=r"precision must be in 1\.\.4300"):
+        save_point_set(target, [(F(1, 3),)], {"p": 2}, "decimal", 4301)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_atomic_failure_leaves_no_temp_file(tmp_path):

@@ -163,7 +163,7 @@ def test_batch_bounds_match_the_oracle_on_both_sides_of_the_threshold(pX, shapes
         for qvec, bounds in zip(qvecs, row):
             assert bounds[: dmax + 1] == shape_bounds(LatticeConfig(p, pX, qvec), B)
             r = poly_to_int(B * qvec[0] % pX)
-            assert bounds == walsh._bound_tuple(p, m, 1, _rank_profile(pX, r))
+            assert [bounds] == walsh._bound_tuples(p, m, 1, zip(_rank_profile(pX, r)))
 
 
 @pytest.mark.parametrize("t", [1, 2])
