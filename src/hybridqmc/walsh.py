@@ -14,8 +14,9 @@ batch reads a shape's sums at the discrete log of r = B*q mod pX in the
 modulus's unit group; at t = 1 a batch of at least p^m - 1 tuples reads
 them off _group_sums, every unit's sums from one big-integer correlation
 per level, capped a level column at a time, and a smaller one builds no
-unit group and reads the rank profile of r.  The route that forms B*q
-mod pX with a Poly product is the tests' oracle.
+unit group: plattice.digit_matrix reads the leading Laurent digits of
+{r/pX} off those of {q/pX}, and the sums are their rank profile.  The
+route that forms B*q mod pX with a Poly product is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .plattice import (
     LatticeConfig,
     SubLatticeSpec,
     _check_sublattice,
+    digit_matrix,
     sublattice_enumerate,
     sublattice_matrices,
 )
@@ -251,9 +253,10 @@ def _unit_group(pX: Poly) -> tuple:
 
 
 @functools.lru_cache(maxsize=4096)
-def _rank_profile(pX: Poly, code: int) -> tuple:
+def _rank_profile(pX: Poly, digits: tuple) -> tuple:
     """S_d = sum_l 3p*phi(M l) over l in GF(p)^d for every d = 0..m, M the m x m
-    Hankel map of {r/pX}, r encoded as code, from one elimination over its rows.
+    Hankel map [j][c] = digits[j + c] of the 2m - 1 leading Laurent digits
+    of {r/pX}, from one elimination over its rows.
 
     phi(x) = 1 + sum_g [x_1 = ... = x_g = 0] f(x_(g+1)) with f of mean zero
     over GF(p) and f(0) = (p^2-1)/(3p).  On the kernel of rows 0..g-1 cut
@@ -266,7 +269,6 @@ def _rank_profile(pX: Poly, code: int) -> tuple:
     row that reduces to zero).  A pivot at column c changes only columns
     >= c, so the m x d map of {r/pX} has this profile's first d + 1 sums."""
     p, m = pX.p, pX.degree
-    digits = laurent_coeffs(poly_from_int(code, p), pX, 2 * m - 1)
     pivots, lows = {}, []  # pivots: column -> reduced row, 1 there and 0 before it
     for j in range(m):
         row, low = digits[j : j + m], m
@@ -326,7 +328,7 @@ def _modulus_bound(cfg: LatticeConfig, modulus: Poly) -> tuple:
     """The bound tuple of shape B = modulus for d = 0..m - deg B: the batch
     of one, cut where the t = 1 batch runs on to d = m."""
     bounds = _batch_bounds(cfg.modulus, (modulus,), (cfg.generators,))[0][0]
-    return bounds[: cfg.m - modulus.degree + 1]
+    return bounds[: max(cfg.m - modulus.degree + 1, 0)]
 
 
 def _group_sums(pX: Poly) -> list:
@@ -368,50 +370,46 @@ def _group_sums(pX: Poly) -> list:
 
 def _batch_bounds(pX: Poly, moduli, qvecs) -> list:
     """Per shape modulus B, the bound tuple of B for every qvec (at t = 1
-    running on to d = m), one tuple built per residue and no Poly product:
-    as {l*B*q_i/pX} = {l*r_i/pX}, the sums S_d over the points l*B,
-    deg l < d, depend on r_i = B*q_i mod pX alone.  The residues are logs,
+    running on to d = m, at t >= 2 empty past it), one tuple built per
+    residue and no Poly product: as {l*B*q_i/pX} = {l*r_i/pX}, the sums S_d
+    over the points l*B, deg l < d, depend on r_i = B*q_i mod pX alone, so
+    B enters as B mod pX, formed once per shape.  The residues are logs,
     log B + log q_i, sorted as the sum is symmetric; at t = 1 a batch of at
     least N = p^m - 1 tuples caps every unit's sums off _group_sums and
     reads each at (log B + log q) mod N.  A smaller t = 1 batch builds no
-    unit group: r's code is B's coefficients times the columns X^k*q mod
-    pX, stepped by pX's recurrence, and S_d its rank profile."""
-    p, m, t = pX.p, pX.degree, len(qvecs[0])
+    unit group: digit_matrix reads the 2m - 1 leading digits of {r/pX} off
+    the 3m - 2 of {q/pX}, and S_d is their rank profile."""
+    p, m = pX.p, pX.degree
+    residues = [B % pX for B in moduli]
+    if any(r.is_zero for r in residues):
+        raise ValueError("shape modulus is divisible by pX")
+    if not qvecs:
+        return [[] for _ in moduli]
+    t = len(qvecs[0])
     if t == 1 and len(moduli) * len(qvecs) < p**m - 1:
-        low, powers = pX.coeffs[:-1], [p**j for j in range(m)]
-        lanes, rows = {}, [[] for _ in moduli]  # lanes: residue code -> its lane
+        lanes, rows = {}, [[] for _ in moduli]  # lanes: digits of {r/pX} -> their lane
         for (q,) in qvecs:
-            columns = [[*q.coeffs, *[0] * (m - len(q.coeffs))]]
-            for B, row in zip(moduli, rows):
-                while len(columns) < len(B.coeffs):  # X*r mod pX: shift up, less top * low
-                    top = columns[-1][-1]
-                    columns.append([(x - top * c) % p for x, c in zip((0, *columns[-1]), low)])
-                r = [0] * m
-                for a, column in zip(B.coeffs, columns):
-                    if a:
-                        r = [x + a * y for x, y in zip(r, column)]
-                code = sum(x % p * w for x, w in zip(r, powers))
-                if not code:  # q is a unit, so r = 0 only for B = 0 mod pX
-                    raise ValueError("shape modulus is divisible by pX")
-                row.append(lanes.setdefault(code, len(lanes)))
-        bounds = _bound_tuples(p, m, 1, zip(*[_rank_profile(pX, code) for code in lanes]))
+            digits = laurent_coeffs(q, pX, 3 * m - 2)
+            for B, row in zip(residues, rows):
+                row.append(lanes.setdefault(digit_matrix(digits, B, 1, 2 * m - 1)[0], len(lanes)))
+        bounds = _bound_tuples(p, m, 1, zip(*[_rank_profile(pX, digits) for digits in lanes]))
         return [[bounds[k] for k in row] for row in rows]
     log, n = _unit_group(pX)[0], p**m - 1
     units = _bound_tuples(p, m, 1, _group_sums(pX)) if t == 1 else None
     logs = [[log[poly_to_int(q)] for q in qvec] for qvec in qvecs]
     memo, rows = {}, []
-    for B in moduli:
-        dmax, shift = m - B.degree, log[poly_to_int(B % pX)]
-        if shift is None:  # B = 0 mod pX
-            raise ValueError("shape modulus is divisible by pX")
+    for B, r in zip(moduli, residues):
+        dmax, shift = m - B.degree, log[poly_to_int(r)]
         if units:
             rows.append([units[(shift + x) % n] for (x,) in logs])
-            continue
-        keys = [(dmax, *sorted([(shift + x) % n for x in qlogs])) for qlogs in logs]
-        lanes = [key for key in dict.fromkeys(keys) if key not in memo]
-        sums = zip(*[_table_sums(pX, key[1:], dmax) for key in lanes])
-        memo.update(zip(lanes, _bound_tuples(p, m, t, sums)))
-        rows.append([memo[key] for key in keys])
+        elif dmax < 0:  # no level past d = m
+            rows.append([()] * len(qvecs))
+        else:
+            keys = [(dmax, *sorted([(shift + x) % n for x in qlogs])) for qlogs in logs]
+            lanes = [key for key in dict.fromkeys(keys) if key not in memo]
+            sums = zip(*[_table_sums(pX, key[1:], dmax) for key in lanes])
+            memo.update(zip(lanes, _bound_tuples(p, m, t, sums)))
+            rows.append([memo[key] for key in keys])
     return rows
 
 

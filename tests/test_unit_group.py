@@ -136,7 +136,8 @@ def test_group_sums_are_the_rank_profile_of_every_unit(pX):
     levels = walsh._group_sums(pX)
     assert len(levels) == m + 1 and all(len(level) == p**m - 1 for level in levels)
     for code in range(1, p**m):
-        assert tuple(level[log[code]] for level in levels) == _rank_profile(pX, code)
+        digits = laurent_coeffs(poly_from_int(code, p), pX, 2 * m - 1)
+        assert tuple(level[log[code]] for level in levels) == _rank_profile(pX, digits)
     if p >= 7 and m >= 2:
         assert min(F) < 0
 
@@ -162,8 +163,8 @@ def test_batch_bounds_match_the_oracle_on_both_sides_of_the_threshold(pX, shapes
         dmax = m - B.degree
         for qvec, bounds in zip(qvecs, row):
             assert bounds[: dmax + 1] == shape_bounds(LatticeConfig(p, pX, qvec), B)
-            r = poly_to_int(B * qvec[0] % pX)
-            assert [bounds] == walsh._bound_tuples(p, m, 1, zip(_rank_profile(pX, r)))
+            digits = laurent_coeffs(B * qvec[0] % pX, pX, 2 * m - 1)
+            assert [bounds] == walsh._bound_tuples(p, m, 1, zip(_rank_profile(pX, digits)))
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -178,6 +179,50 @@ def test_shape_sums_reject_a_multiple_of_the_modulus(t):
     for moduli in ((pX,), (Poly.x(3), pX * Poly.x(3))):
         with pytest.raises(ValueError, match="divisible by pX"):
             walsh._batch_bounds(pX, moduli, qvecs)
+
+
+@pytest.mark.parametrize("route", ["small", "group", "table"])
+@pytest.mark.parametrize("pX", [irreducible_poly(2, 3), irreducible_poly(3, 2)], ids=str)
+def test_batch_bounds_past_d_m_and_on_an_empty_batch(pX, route):
+    # shapes of degree m + 1 and m + 2 next to X: at t >= 2 they have no
+    # level, and the t = 1 routes run on to d = m, where the tuple is that
+    # of B mod pX; an empty batch gives one empty row per shape
+    p, m = pX.p, pX.degree
+    moduli = [Poly.x(p), poly_parse(f"X^{m + 1}+1", p), poly_parse(f"X^{m + 2}+1", p)]
+    units = [poly_from_int(q, p) for q in range(1, p**m)]
+    qvecs = {"small": [(units[-1],)], "group": [(q,) for q in units], "table": [(units[0], units[-1])]}
+    with mock.patch.object(walsh, "_group_sums", wraps=walsh._group_sums) as spy:
+        rows = walsh._batch_bounds(pX, moduli, qvecs[route])
+    assert spy.call_count == (route == "group")
+    for B, row in zip(moduli, rows):
+        for qvec, bounds in zip(qvecs[route], row):
+            cfg = LatticeConfig(p, pX, qvec)
+            assert _modulus_bound(cfg, B) == shape_bounds(cfg, B)
+            if B.degree > m:
+                assert shape_bounds(cfg, B) == ()
+            if route == "table":
+                assert bounds == shape_bounds(cfg, B)
+            else:
+                reduced = shape_bounds(cfg, B % pX)
+                assert len(bounds) == m + 1 and bounds[: len(reduced)] == reduced
+    assert walsh._batch_bounds(pX, moduli, []) == [[], [], []]
+    with pytest.raises(ValueError, match="divisible by pX"):
+        walsh._batch_bounds(pX, [Poly.x(p), pX], [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_moduli(), st.integers(0, 10**6), st.integers(0, 10**6), st.booleans())
+@example(poly_parse("X+1", 3), 0, 5, False)  # m = 1: one digit, B = X + 2
+@example(poly_parse("X+1", 3), 0, 4, True)  # B = (X + 1)^2
+def test_digit_matrix_reads_the_residue_digits_off_those_of_q(pX, a, b, multiple):
+    # the 2m - 1 digits of {B*q/pX} are the convolution of B mod pX with the
+    # 3m - 2 digits of {q/pX}, all zero exactly when pX divides B
+    p, m = pX.p, pX.degree
+    q = poly_from_int(1 + a % (p**m - 1), p)
+    B = pX * poly_from_int(b % p**2, p) if multiple else poly_from_int(b % p ** (m + 2), p)
+    digits = plattice.digit_matrix(laurent_coeffs(q, pX, 3 * m - 2), B % pX, 1, 2 * m - 1)[0]
+    assert digits == laurent_coeffs(B * q % pX, pX, 2 * m - 1)
+    assert (not any(digits)) == (B % pX).is_zero
 
 
 @pytest.mark.parametrize("t", [1, 2])
