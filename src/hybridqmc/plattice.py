@@ -4,8 +4,9 @@ A lattice configuration fixes a monic irreducible modulus pX of degree m
 and t nonzero generators of degree < m.  The n-th point has component i
 equal to the first m Laurent coefficients of {n(X)*q_i(X)/pX}, read as
 base-p digits.  The same points arise from Hankel generating matrices
-acting on the digit vector of n; both routes are provided and kept
-independent of each other.
+acting on the digit vector of n.  Both routes are kept independent: the
+division kernel _laurent_points divides X^m*n*q_i by pX on integer lists,
+and the affine sub-lattice route (sublattice_matrices) does not share it.
 
 A SubLatticeSpec selects the lattice points whose indices lie in an
 aligned block of p^u consecutive integers and in a residue class
@@ -23,6 +24,7 @@ from .gfpoly import (
     BasePRational,
     Poly,
     ResidueClass,
+    _long_division,
     as_prime,
     laurent_coeffs,
     poly_from_int,
@@ -91,16 +93,31 @@ def _digits_to_int(digits, base: int) -> int:
     return num
 
 
+def _laurent_points(indices, cfg: LatticeConfig):
+    """Yield the points of the indices: a_1..a_m of {n*q_i/pX} are the low m
+    quotient digits of X^m*n*q_i by pX, a_1 highest, from one long division."""
+    p, m, pX = cfg.p, cfg.m, cfg.modulus.coeffs
+    for n in indices:
+        digits = []  # of n, least significant first
+        while n:
+            n, r = divmod(n, p)
+            digits.append(r)
+        point = []
+        for q in cfg.generators:
+            product = [0] * (m + len(digits) + len(q.coeffs) - 1)
+            for i, a in enumerate(digits):
+                for j, b in enumerate(q.coeffs):
+                    product[m + i + j] += a * b
+            quotient = _long_division(product, pX, p, True)[0]
+            point.append(BasePRational(p, _digits_to_int(reversed(quotient[:m]), p), m))
+        yield tuple(point)
+
+
 def plattice_point_laurent(n: int, cfg: LatticeConfig) -> tuple:
     """The n-th lattice point via truncated Laurent expansion of {n*q_i/pX}."""
-    p, m = cfg.p, cfg.m
-    if not 0 <= n < p**m:
-        raise ValueError(f"index {n} outside [0, {p}^{m})")
-    npoly = poly_from_int(n, p)
-    return tuple(
-        BasePRational(p, _digits_to_int(laurent_coeffs(npoly * q, cfg.modulus, m), p), m)
-        for q in cfg.generators
-    )
+    if not 0 <= n < cfg.n_points:
+        raise ValueError(f"index {n} outside [0, {cfg.p}^{cfg.m})")
+    return next(_laurent_points((n,), cfg))
 
 
 @dataclass(frozen=True)
@@ -200,14 +217,12 @@ class SubLatticeSpec:
     @functools.cached_property
     def shift_poly(self) -> Poly:
         """The fixed high part C(X): matching indices have digit polynomial
-        (l(X) + X^d C(X)) * B(X) + R(X) with l running over degrees < d."""
-        B, R, p = self.cls.modulus, self.cls.residue, self.p
-        a = poly_from_int(self.block_start, p)
-        h0 = (R - a) % B
-        k_base, rem = divmod(a + h0 - R, B)
-        if not rem.is_zero:
-            raise AssertionError("congruence solution must be divisible by modulus")
-        return Poly(p, k_base.coeffs[self.d :])
+        (l(X) + X^d C(X)) * B(X) + R(X) with l running over degrees < d.
+        With a = start(X) and h0 = (R - a) mod B, C is (a + h0 - R) / B shifted
+        down by d, and that quotient is a // B: a + h0 - R = 0 mod B and
+        deg((a mod B) + h0 - R) < deg B, so (a mod B) + h0 - R = 0."""
+        quotient = poly_from_int(self.block_start, self.p) // self.cls.modulus
+        return Poly(self.p, quotient.coeffs[self.d :])
 
 
 def coprime_to_irreducible(B: Poly, pX: Poly) -> bool:
@@ -253,7 +268,11 @@ def sublattice_indices(spec: SubLatticeSpec, cfg: LatticeConfig) -> list:
     over the block in index order keeps the digits of n(X) - R mod B, all 0 there."""
     _check_sublattice(spec, cfg)
     p, B, start = cfg.p, spec.cls.modulus, spec.block_start
-    columns = [_residue_digits(poly_from_int(p**c, p), B) for c in range(spec.u)]
+    low, column, columns = B.coeffs[:-1], [1, *[0] * B.degree], []
+    for _ in range(spec.u):  # X^c mod B: X^deg B = -low, as B is monic
+        top = column[-1]
+        columns.append([(x - top * c) % p for x, c in zip(column, low)])
+        column = [0, *columns[-1]]
     shift = _residue_digits(poly_from_int(start, p) - spec.cls.residue, B)
     walk = index_walk(columns, shift, p**spec.u, p)
     out = [start + j for j, residue in enumerate(walk) if not any(residue)]
@@ -264,7 +283,7 @@ def sublattice_indices(spec: SubLatticeSpec, cfg: LatticeConfig) -> list:
 
 def sublattice_enumerate(spec: SubLatticeSpec, cfg: LatticeConfig) -> list:
     """The p^d sub-lattice points, by direct enumeration in ascending n."""
-    return [plattice_point_laurent(n, cfg) for n in sublattice_indices(spec, cfg)]
+    return list(_laurent_points(sublattice_indices(spec, cfg), cfg))
 
 
 def digit_matrix(digits, B: Poly, m: int, d: int) -> tuple:

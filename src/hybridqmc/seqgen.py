@@ -176,7 +176,7 @@ def box_to_residue_classes(cfg: HaltonConfig, levels, numerators) -> list:
         if v == cap:
             per_dim.append(None)
             continue
-        digits = _big_endian_digits(v, q, l)
+        digits = [v // q ** (l - 1 - j) % q for j in range(l)]  # v < q^l, highest first
         options = []
         prefix = Poly.zero(p)
         b_pow = Poly.one(p)
@@ -198,17 +198,6 @@ def box_to_residue_classes(cfg: HaltonConfig, levels, numerators) -> list:
         classes.append(ResidueClass(modulus, residue))
     classes.sort(key=_class_sort_key)
     return classes
-
-
-def _big_endian_digits(v: int, q: int, l: int) -> list:
-    digits = []
-    for _ in range(l):
-        v, r = divmod(v, q)
-        digits.append(r)
-    if v:
-        raise ValueError("numerator does not fit in the level digits")
-    digits.reverse()
-    return digits
 
 
 @functools.lru_cache(maxsize=None)

@@ -113,12 +113,18 @@ def walsh_weight_total(p: int, m: int, t: int, mode: str = "closed") -> Fraction
     return (sums[0] - sums[1]) ** t
 
 
+def _frequencies(cfg: LatticeConfig, kvec) -> tuple:
+    """kvec as a tuple, checked to hold t frequencies, ints in [0, p^m)."""
+    kvec = tuple(kvec)
+    if len(kvec) != cfg.t or not all(isinstance(k, int) and 0 <= k < cfg.n_points for k in kvec):
+        raise ValueError(f"need t = {cfg.t} frequencies, ints in [0, {cfg.p}^{cfg.m})")
+    return kvec
+
+
 def character_sum(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> tuple:
     """counts[a], the number of sub-lattice points whose k-th character
     exponent is a, for a = 0..p-1: the complex sum is sum_a counts[a] * e(a/p)."""
-    kvec = tuple(kvec)
-    if len(kvec) != cfg.t:
-        raise ValueError("frequency tuple length must equal the lattice dimension")
+    kvec = _frequencies(cfg, kvec)
     counts = [0] * cfg.p
     for pt in sublattice_enumerate(spec, cfg):
         counts[walsh_exponent_vec(kvec, pt)] += 1
@@ -140,27 +146,19 @@ def character_magnitude(counts) -> int:
 def dual_test_matrix(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> bool:
     """True when the transposed affine digit maps annihilate the frequency:
     sum_i C_i^T k_i = 0 in GF(p)^d (vacuous for d = 0)."""
-    p, d = cfg.p, spec.d
+    kvec, p, d = _frequencies(cfg, kvec), cfg.p, spec.d
     if d == 0:
         return True
     matrices, _ = sublattice_matrices(spec, cfg)
     # base-p digits of each k_i, least significant first; missing ones are 0
     kdigits = [poly_from_int(k, p).coeffs for k in kvec]
-    for c in range(d):
-        acc = 0
-        for mat, kd in zip(matrices, kdigits):
-            acc += sum(row[c] * kj for row, kj in zip(mat, kd))
-        if acc % p:
-            return False
-    return True
+    terms = [(row, kj) for mat, kd in zip(matrices, kdigits) for row, kj in zip(mat, kd)]
+    return all(sum(row[c] * kj for row, kj in terms) % p == 0 for c in range(d))
 
 
 def _combined_numerator(cfg: LatticeConfig, kvec) -> Poly:
-    p = cfg.p
-    acc = Poly.zero(p)
-    for k, q in zip(kvec, cfg.generators):
-        acc = acc + poly_from_int(k, p) * q
-    return acc % cfg.modulus
+    terms = (poly_from_int(k, cfg.p) * q for k, q in zip(kvec, cfg.generators))
+    return sum(terms, Poly.zero(cfg.p)) % cfg.modulus
 
 
 @functools.lru_cache(maxsize=512)
@@ -168,17 +166,14 @@ def _combined_residues(cfg: LatticeConfig) -> tuple:
     """(kvec, (sum_i k_i*q_i) mod pX) for every nonzero frequency tuple:
     the frequency side of the dual weight sum, kept as a desk-scale
     reference for _modulus_bound."""
-    out = []
-    for kvec in itertools.product(range(cfg.p**cfg.m), repeat=cfg.t):
-        if any(kvec):
-            out.append((kvec, _combined_numerator(cfg, kvec)))
-    return tuple(out)
+    kvecs = itertools.product(range(cfg.p**cfg.m), repeat=cfg.t)
+    return tuple((kvec, _combined_numerator(cfg, kvec)) for kvec in kvecs if any(kvec))
 
 
 def dual_test_valuation(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> bool:
     """True when the fractional part of (sum_i k_i*q_i)*B / pX sinks below
     X^-d, i.e. its valuation is < -d."""
-    kvec = tuple(kvec)
+    kvec = _frequencies(cfg, kvec)
     f = (_combined_numerator(cfg, kvec) * spec.cls.modulus) % cfg.modulus
     return valuation(f, cfg.modulus) < -spec.d
 
@@ -323,6 +318,12 @@ def _bound_tuples(p: int, m: int, t: int, levels) -> list:
     return list(zip(*columns))
 
 
+@functools.lru_cache(maxsize=4096)
+def _laurent_prefix(pX: Poly, q: Poly) -> tuple:
+    """The 3m - 2 leading Laurent digits of q/pX, once per (pX, q) for every shape."""
+    return laurent_coeffs(q, pX, 3 * pX.degree - 2)
+
+
 @functools.lru_cache(maxsize=65536)
 def _modulus_bound(cfg: LatticeConfig, modulus: Poly) -> tuple:
     """The bound tuple of shape B = modulus for d = 0..m - deg B: the batch
@@ -378,7 +379,8 @@ def _batch_bounds(pX: Poly, moduli, qvecs) -> list:
     least N = p^m - 1 tuples caps every unit's sums off _group_sums and
     reads each at (log B + log q) mod N.  A smaller t = 1 batch builds no
     unit group: digit_matrix reads the 2m - 1 leading digits of {r/pX} off
-    the 3m - 2 of {q/pX}, and S_d is their rank profile."""
+    the 3m - 2 of {q/pX}, one _laurent_prefix per (pX, q), and S_d is their
+    rank profile."""
     p, m = pX.p, pX.degree
     residues = [B % pX for B in moduli]
     if any(r.is_zero for r in residues):
@@ -389,7 +391,7 @@ def _batch_bounds(pX: Poly, moduli, qvecs) -> list:
     if t == 1 and len(moduli) * len(qvecs) < p**m - 1:
         lanes, rows = {}, [[] for _ in moduli]  # lanes: digits of {r/pX} -> their lane
         for (q,) in qvecs:
-            digits = laurent_coeffs(q, pX, 3 * m - 2)
+            digits = _laurent_prefix(pX, q)
             for B, row in zip(residues, rows):
                 row.append(lanes.setdefault(digit_matrix(digits, B, 1, 2 * m - 1)[0], len(lanes)))
         bounds = _bound_tuples(p, m, 1, zip(*[_rank_profile(pX, digits) for digits in lanes]))

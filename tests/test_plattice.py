@@ -1,15 +1,19 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hybridqmc import gfpoly
 from hybridqmc.gfpoly import (
+    BasePRational,
     Poly,
     ResidueClass,
     irreducible_poly,
+    laurent_coeffs,
     poly_from_int,
     poly_gcd,
     poly_is_irreducible,
@@ -21,6 +25,8 @@ from hybridqmc.plattice import (
     GeneratingMatrix,
     LatticeConfig,
     SubLatticeSpec,
+    _laurent_points,
+    _residue_digits,
     build_generating_matrix,
     coprime_to_irreducible,
     index_walk,
@@ -302,9 +308,9 @@ def test_sublattice_cardinality_and_affine_agreement_random():
 
 
 @st.composite
-def _block_specs(draw):
+def _block_specs(draw, max_m=5):
     p = draw(st.sampled_from((2, 3, 5)))
-    m = draw(st.integers(1, 5))
+    m = draw(st.integers(1, max_m))
     cfg = LatticeConfig(p, irreducible_poly(p, m), (Poly.one(p),))
     u = draw(st.integers(0, m))
     deg_b = draw(st.integers(0, u))
@@ -373,3 +379,147 @@ def test_sublattice_enumerate_uses_nothing_from_the_affine_route(monkeypatch):
     cfg = LatticeConfig(3, irreducible_poly(3, 3), (Poly.x(3), P("X^2+2", 3)))
     spec = SubLatticeSpec(3, 0, ResidueClass(P("X+1", 3), P("2", 3)))
     assert len(sublattice_enumerate(spec, cfg)) == 9
+
+
+def _laurent_oracle(n, cfg):
+    """The Poly-product route: the m leading Laurent digits of {n(X)*q_i/pX}."""
+    npoly = poly_from_int(n, cfg.p)
+    return [laurent_coeffs(npoly * q, cfg.modulus, cfg.m) for q in cfg.generators]
+
+
+@st.composite
+def _lattices_and_indices(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    m = draw(st.integers(1, 6))
+    low = draw(st.integers(0, p**m - 1))
+    candidates = (poly_from_int(p**m + (low + k) % p**m, p) for k in range(p**m))
+    pX = next(f for f in candidates if poly_is_irreducible(f))  # the first from low on
+    t = draw(st.integers(1, 3))
+    qvec = draw(st.lists(st.integers(1, p**m - 1), min_size=t, max_size=t))
+    cfg = LatticeConfig(p, pX, tuple(poly_from_int(q, p) for q in qvec))
+    return cfg, draw(st.lists(st.integers(0, p**m - 1), max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@example((LatticeConfig(2, P("X"), (Poly.one(2),)), [0, 1]))  # m = 1
+@example((LatticeConfig(3, irreducible_poly(3, 3), (P("2", 3), P("X^2", 3))), [0, 26, 13]))
+@example((LatticeConfig(5, irreducible_poly(5, 2), (P("4", 5),) * 3), [24, 0, 5]))
+@given(_lattices_and_indices())
+def test_laurent_points_match_the_poly_product_route(case):
+    # the batch kernel of sublattice_enumerate and plattice_point_laurent
+    # against laurent_coeffs of the Poly product n(X)*q_i, with n = 0,
+    # n = p^m - 1 and constant q_i among the indices and examples
+    cfg, indices = case
+    p, m = cfg.p, cfg.m
+    indices = [0, *indices, p**m - 1]
+    points = list(_laurent_points(indices, cfg))
+    assert len(points) == len(indices)
+    for n, point in zip(indices, points):
+        assert all(type(x) is BasePRational and (x.p, x.L) == (p, m) for x in point)
+        assert [_digits(x) for x in point] == _laurent_oracle(n, cfg)
+        assert plattice_point_laurent(n, cfg) == point
+
+
+def _walked_columns(spec, cfg):
+    """The columns sublattice_indices hands to index_walk."""
+    seen = []
+
+    def spy(columns, shift, count, p):
+        seen.append([tuple(c) for c in columns])
+        return index_walk(columns, shift, count, p)
+
+    with mock.patch.object(plattice, "index_walk", spy):
+        sublattice_indices(spec, cfg)
+    return seen[0]
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # deg B = 0
+    (
+        SubLatticeSpec(3, 0, ResidueClass(Poly.one(3), Poly.zero(3))),
+        LatticeConfig(3, irreducible_poly(3, 4), (Poly.one(3),)),
+    )
+)
+@example(  # deg B = u: columns X^c mod B, c < u, are the unit vectors
+    (
+        SubLatticeSpec(3, 8, ResidueClass(P("X^3+X+1"), P("X"))),
+        LatticeConfig(2, irreducible_poly(2, 5), (Poly.one(2),)),
+    )
+)
+@example(  # p = 5, deg B = 2 < u: the walk reduces by B's low part
+    (
+        SubLatticeSpec(4, 0, ResidueClass(P("X^2+3X+2", 5), P("4", 5))),
+        LatticeConfig(5, irreducible_poly(5, 4), (Poly.one(5),)),
+    )
+)
+@given(_block_specs(6))
+def test_walked_index_columns_are_the_residues_of_powers_of_x(case):
+    spec, cfg = case
+    p, B = cfg.p, spec.cls.modulus
+    want = [_residue_digits(poly_from_int(p**c, p), B) for c in range(spec.u)]
+    assert _walked_columns(spec, cfg) == want
+
+
+def _congruence_shift_poly(spec):
+    """C(X) by the congruence: h0 = (R - a) mod B makes a + h0 - R a
+    multiple of B, and C is its quotient shifted down by d."""
+    B, R, p = spec.cls.modulus, spec.cls.residue, spec.p
+    a = poly_from_int(spec.block_start, p)
+    h0 = (R - a) % B
+    k_base, rem = divmod(a + h0 - R, B)
+    assert rem.is_zero
+    return Poly(p, k_base.coeffs[spec.d :])
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # d = 0, start of degree above deg B
+    (
+        SubLatticeSpec(2, 9, ResidueClass(P("X^2+1", 3), P("X+2", 3))),
+        LatticeConfig(3, irreducible_poly(3, 3), (Poly.one(3),)),
+    )
+)
+@example(  # B = 1: C is the block start shifted down by u
+    (
+        SubLatticeSpec(2, 12, ResidueClass(Poly.one(2), Poly.zero(2))),
+        LatticeConfig(2, irreducible_poly(2, 4), (Poly.one(2),)),
+    )
+)
+@given(_block_specs(6))
+def test_shift_poly_is_the_congruence_quotient(case):
+    spec, _ = case
+    assert spec.shift_poly == _congruence_shift_poly(spec)
+
+
+@pytest.mark.parametrize("d", [0, 1, 4])
+def test_sublattice_enumerate_work_does_not_grow_with_its_points(monkeypatch, d):
+    # the enumeration forms no Poly product and takes no laurent_coeffs per
+    # point: p^d = 1, 3 and 81 points cost the same count of either
+    cfg = LatticeConfig(3, irreducible_poly(3, 5), (P("X^4+2X", 3), P("2X^2+1", 3)))
+    spec = SubLatticeSpec(d + 1, 0, ResidueClass(P("X+2", 3), P("1", 3)))
+    calls = []
+    mul, laurent = Poly.__mul__, gfpoly.laurent_coeffs
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
+
+    def counted(*args):
+        calls.append("laurent")
+        return laurent(*args)
+
+    monkeypatch.setattr(gfpoly, "laurent_coeffs", counted)
+    monkeypatch.setattr(plattice, "laurent_coeffs", counted)
+    assert len(sublattice_enumerate(spec, cfg)) == 3**d and calls == []
+    plattice.build_generating_matrix(Poly.x(3) * Poly.x(3), cfg.modulus)
+    assert calls == ["mul", "laurent"]  # both counters see the names plattice reads
+
+
+def test_sublattice_affine_uses_nothing_from_the_laurent_kernel(monkeypatch):
+    # the other half of the independence the sublattice suite relies on
+    def kernel(*args, **kwargs):
+        raise AssertionError("the affine route read the Laurent kernel")
+
+    monkeypatch.setattr(plattice, "_laurent_points", kernel)
+    monkeypatch.setattr(plattice, "_long_division", kernel)
+    cfg = LatticeConfig(3, irreducible_poly(3, 3), (Poly.x(3), P("X^2+2", 3)))
+    spec = SubLatticeSpec(3, 0, ResidueClass(P("X+1", 3), P("2", 3)))
+    assert len(sublattice_affine(spec, cfg)[2]) == 9
+    with pytest.raises(AssertionError, match="Laurent kernel"):
+        sublattice_enumerate(spec, cfg)

@@ -223,6 +223,21 @@ def test_dual_tests_examples():
         assert dual_test_valuation(single, cfg, (k,))
 
 
+@pytest.mark.parametrize("route", [character_sum, dual_test_matrix, dual_test_valuation])
+def test_frequencies_outside_the_domain_are_rejected(route):
+    # a tuple of the wrong length or a k outside [0, p^m) used to be read
+    # anyway: zip truncated (), and k = 8 or 11 made the dual tests disagree
+    cfg = LatticeConfig(2, P("X^3+X+1"), (P("X+1"),))
+    spec = SubLatticeSpec(3, 0, ResidueClass(Poly.one(2), Poly.zero(2)))
+    for kvec in [(), (1, 2), (8,), (11,), (-1,), (1.0,), ("1",)]:
+        with pytest.raises(ValueError, match="frequenc"):
+            route(spec, cfg, kvec)
+    route(spec, cfg, [7])  # p^m - 1, and any iterable, is accepted
+    cfg2 = LatticeConfig(3, irreducible_poly(3, 2), (Poly.one(3), Poly.x(3)))
+    with pytest.raises(ValueError, match="frequenc"):
+        route(SubLatticeSpec(2, 0, ResidueClass(Poly.x(3), Poly.one(3))), cfg2, (0, 9))
+
+
 def test_dual_dichotomy_three_way_random():
     rng = random.Random(31)
     from hybridqmc.gfpoly import poly_gcd
