@@ -17,6 +17,7 @@ from decimal import Decimal
 from .discrepancy import (
     _MAX_PRECISION,
     BudgetExceededError,
+    UsageError,
     discrepancy_certificate,
     load_point_set,
     point_file_lines,
@@ -40,10 +41,6 @@ EXIT_BUDGET = 3
 _WORKERS_HELP = "accepted for compatibility; has no effect"
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _int_in(name: str, low: int, high: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
@@ -59,7 +56,7 @@ def _int_in(name: str, low: int, high: int | None = None):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 def _build_parser() -> _Parser:
@@ -122,16 +119,16 @@ def _halton_cfg(args) -> HaltonConfig:
 
 def _lattice_cfg(args) -> LatticeConfig:
     if not args.px:
-        raise _UsageError("--px is required for lattice point sets")
+        raise UsageError("--px is required for lattice point sets")
     pX = poly_parse(args.px, args.p)
     if args.g is not None:
         if not args.t:
-            raise _UsageError("--t is required with --g")
+            raise UsageError("--t is required with --g")
         qvec = korobov_qvec(poly_parse(args.g, args.p), args.t, pX)
     elif args.q:
         qvec = _parse_polys(args.q, args.p)
     else:
-        raise _UsageError("need --q or --g for lattice point sets")
+        raise UsageError("need --q or --g for lattice point sets")
     return LatticeConfig(args.p, pX, qvec)
 
 
@@ -176,7 +173,7 @@ def _cmd_gen(args) -> int:
 def _cmd_disc(args) -> int:
     if args.mode == "certificate":
         if args.p is None:
-            raise _UsageError("--p is required for certificate mode")
+            raise UsageError("--p is required for certificate mode")
         halton = _halton_cfg(args)
         lattice = _lattice_cfg(args)
         cert = discrepancy_certificate(lattice.m, halton, lattice).as_dict()
@@ -192,7 +189,7 @@ def _cmd_disc(args) -> int:
         _emit(("\n".join(lines) + "\n",), None)
         return EXIT_OK
     if not args.input:
-        raise _UsageError("--input is required for exact/prefix modes")
+        raise UsageError("--input is required for exact/prefix modes")
     points, _meta = load_point_set(args.input)
     if args.mode == "exact":
         if points.dim == 1:
@@ -223,7 +220,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.suite not in SUITES:
-        raise _UsageError(
+        raise UsageError(
             f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}"
         )
     result = run_suite(args.suite)
@@ -242,7 +239,7 @@ def main(argv=None) -> int:
         if args.command == "search":
             return _cmd_search(args)
         return _cmd_verify(args)
-    except _UsageError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

@@ -44,8 +44,22 @@ class BudgetExceededError(RuntimeError):
     """Raised when a computation would exceed its configured budget."""
 
 
+class UsageError(ValueError):
+    """A missing, malformed or out-of-range flag or setting (exit 1 in the CLI)."""
+
+
+def env_budget(name: str, default: int) -> int:
+    """The budget environment variable name sets, else default; as for
+    --budget, a setting that is not an integer >= 1 is a usage error."""
+    text = os.environ.get(name, str(default))
+    with contextlib.suppress(ValueError):
+        if int(text) >= 1:
+            return int(text)
+    raise UsageError(f"{name} must be an integer >= 1, not {text!r}")
+
+
 def oracle_budget() -> int:
-    return int(os.environ.get("HYBRIDQMC_ORACLE_BUDGET", DEFAULT_ORACLE_BUDGET))
+    return env_budget("HYBRIDQMC_ORACLE_BUDGET", DEFAULT_ORACLE_BUDGET)
 
 
 class PointSetD:
@@ -154,8 +168,9 @@ def _grid_extremes(n, denoms, numerators, cands):
     excess after.  Untouched corners have excess <= 0, below the top tail
     corner's at the last point, and the last step, which adds no points,
     reads the whole slice's deficit.  A bucket's histogram on the grid of its
-    own distinct tail indices is summed there and stretched to the box by
-    run lengths; memory is the counts, their volumes and three scratch slices.
+    own distinct tail indices is summed there, then stretched by run lengths
+    along each axis where it holds two or more indices and broadcast along
+    the rest; memory is the counts, their volumes and three scratch slices.
     """
     big_q = prod(denoms)
     dtype = _np.int64 if n * big_q < 2**62 else object
@@ -185,13 +200,14 @@ def _grid_extremes(n, denoms, numerators, cands):
             flat = [f * len(grid) + bisect_left(grid, row[k]) for f, row in zip(flat, rows)]
         dims = [len(grid) for grid in grids]
         hist = (_np.bincount(flat, minlength=prod(dims)) * scale).reshape(dims)
-        for ax in range(len(tail)):
+        spread = [ax for ax in range(len(tail)) if dims[ax] > 1]
+        for ax in spread:
             _np.add.accumulate(hist, ax, out=hist)
-        for ax in reversed(range(len(tail))):
+        for ax, buffer in zip(reversed(spread), itertools.cycle((works, spares))):
             runs = [b - a for a, b in zip(grids[ax], [*grids[ax][1:], closed.shape[ax]])]
-            size = (*dims[:ax], *nv.shape[ax:])
-            out = (works, spares)[ax % 2][: prod(size)].reshape(size)
-            # mode "raise" would write through a temporary the size of out
+            size = (*hist.shape[:ax], nv.shape[ax], *hist.shape[ax + 1 :])
+            out = buffer[: prod(size)].reshape(size)
+            # mode "raise", or an out that overlaps hist, would copy through a temporary
             hist = hist.take(ramp[: dims[ax]].repeat(runs), ax, out=out, mode="clip")
         target = closed[box]
         excess.append(_np.subtract(_np.add(target, hist, out=target), vol, out=work).max())
@@ -219,11 +235,12 @@ def prefix_discrepancies(points: PointSetD, budget: int | None = None) -> list:
     counts = _np.zeros([len(c) + 1 for c in cands], dtype=dtype)
     closed, opened = (slice(1, None),) * len(cands), (slice(None, -1),) * len(cands)
     index = [{c: j for j, c in enumerate(cand)} for cand in cands]
-    scaled = []
-    for count, row in enumerate(zip(*numerators), start=1):
+    cvol, work, scaled = _np.zeros_like(vol), _np.empty_like(vol), []  # cvol: count * vol
+    for row in zip(*numerators):
         counts[tuple(slice(ix[x] + 1, None) for ix, x in zip(index, row))] += big_q
-        cvol = count * vol
-        worst = max(_np.max(counts[closed] - cvol), _np.max(cvol - counts[opened]), 0)
+        cvol += vol
+        excess = _np.subtract(counts[closed], cvol, out=work).max()
+        worst = max(excess, _np.subtract(cvol, counts[opened], out=work).max(), 0)
         scaled.append(Fraction(int(worst), big_q))
     return scaled
 
@@ -455,6 +472,7 @@ def write_atomic(path, lines):
 def load_point_set(path):
     """Read a point file back; returns (PointSetD, meta)."""
     meta: dict = {}
+    at: dict = {}  # header key -> position of its value on its line
     rows = []
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for raw in fh:
@@ -464,10 +482,10 @@ def load_point_set(path):
             if not line.isascii():
                 raise ParseError("non-ASCII byte", re.search(r"[^\x00-\x7f]", line).start())
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = _parse_header_value(key.strip(), val.strip(), line)
+                key, eq, val = (part.strip() for part in line[1:].partition("="))
+                if eq:
+                    at[key] = line.index("=") + 1
+                    meta[key] = _parse_header_value(key, val, line)
                 continue
             rows.append(
                 tuple(
@@ -479,6 +497,9 @@ def load_point_set(path):
         raise ValueError(f"no points in {path}")
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("dimension mismatch")
+    for key, actual, what in (("dim", len(rows[0]), "columns"), ("count", len(rows), "rows")):
+        if meta.get(key, actual) != actual:
+            raise ParseError(f"header {key}={meta[key]}, but the file has {actual} {what}", at[key])
     return PointSetD._checked(tuple(rows)), meta
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ from .discrepancy import (
     Certificate,
     PointSetD,
     certificates,
+    env_budget,
     prefix_discrepancies,
 )
 from .gfpoly import (
@@ -38,7 +38,7 @@ DEFAULT_SEARCH_BUDGET = 10**6
 
 
 def search_budget() -> int:
-    return int(os.environ.get("HYBRIDQMC_SEARCH_BUDGET", DEFAULT_SEARCH_BUDGET))
+    return env_budget("HYBRIDQMC_SEARCH_BUDGET", DEFAULT_SEARCH_BUDGET)
 
 
 def check_search_budget(mode: str, p: int, m: int, t: int, budget: int | None = None):

@@ -177,6 +177,78 @@ def test_header_p_composite_is_a_parse_error(tmp_path, capsys):
     assert code == 1 and "parse error" in err and not out
 
 
+@pytest.mark.parametrize(
+    "header, named",
+    [
+        ("# p=2\n# dim=3\n# count=5\n", "dim=3"),
+        ("# count=5\n", "count=5"),
+        ("# dim=1\n# count=2\n", "dim=1"),
+        ("# count=-1\n", "count=-1"),
+        ("# count=0\n", "count=0"),
+        ("# dim=0\n", "dim=0"),
+        ("0/2 1/2\n# count=4\n", "count=4"),  # a header after rows
+    ],
+)
+def test_headers_that_disagree_with_the_rows_are_parse_errors(tmp_path, capsys, header, named):
+    path = tmp_path / "pts.txt"
+    path.write_text(f"{header}1/2 1/4\n1/4 3/4\n")
+    code, out, err = run(capsys, "disc", "exact", "--input", str(path))
+    assert code == 1 and not out and err.startswith("parse error") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plattice", "--px", "X^3+X+1", "--q", "X"),
+        ("korobov", "--px", "X^3+X+1", "--g", "X+1", "--t", "2", "--count", "5"),
+        ("halton", "--bases", "X,X+1", "--count", "3"),
+        ("hybrid", "--px", "X^3+X+1", "--bases", "X", "--q", "X+1"),
+        ("hybrid", "--px", "X^3+X+1", "--bases", "X", "--q", "X+1", "--n", "5"),
+    ],
+)
+def test_files_written_by_gen_load_with_their_headers(tmp_path, capsys, argv):
+    target = tmp_path / "pts.txt"
+    assert run(capsys, "gen", *argv, "--p", "2", "--output", str(target))[0] == 0
+    points, meta = load_point_set(target)
+    assert meta.get("dim", points.dim) == points.dim and meta.get("count", points.n) == points.n
+    assert ("count" in meta) == ("--n" not in argv)
+    assert run(capsys, "disc", "exact", "--input", str(target))[0] == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", ""])
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("HYBRIDQMC_ORACLE_BUDGET", ("disc", "exact", "--input", "pts.txt")),
+        ("HYBRIDQMC_ORACLE_BUDGET", ("disc", "prefix", "--input", "pts.txt")),
+        ("HYBRIDQMC_SEARCH_BUDGET", ("search", "exhaustive", "--p", "2", "--m", "3")),
+        ("HYBRIDQMC_SEARCH_BUDGET", ("search", "korobov", "--p", "2", "--m", "3")),
+        ("HYBRIDQMC_ORACLE_BUDGET", ("verify", "walshbound")),
+        ("HYBRIDQMC_SEARCH_BUDGET", ("verify", "walshbound")),
+    ],
+)
+def test_budget_settings_below_one_are_usage_errors(tmp_path, monkeypatch, capsys, name, argv, value):
+    # the environment overrides follow the --budget rule: exit 1, naming the variable
+    (tmp_path / "pts.txt").write_text("0/4 1/4\n2/4 3/4\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out and err.startswith("usage error") and name in err
+
+
+def test_budget_settings_of_one_or_more_are_read(tmp_path, monkeypatch, capsys):
+    (tmp_path / "pts.txt").write_text("0/4 1/4\n2/4 3/4\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HYBRIDQMC_ORACLE_BUDGET", "9")  # 3 x 3 corners
+    assert run(capsys, "disc", "exact", "--input", "pts.txt")[:2] == (0, "5/8 (= 0.625)\n")
+    monkeypatch.setenv("HYBRIDQMC_ORACLE_BUDGET", "8")
+    assert run(capsys, "disc", "exact", "--input", "pts.txt")[0] == 3
+    monkeypatch.setenv("HYBRIDQMC_SEARCH_BUDGET", "7")  # korobov, p = 2, m = 3: 7 candidates
+    assert run(capsys, "search", "korobov", "--p", "2", "--m", "3")[0] == 0
+    monkeypatch.setenv("HYBRIDQMC_SEARCH_BUDGET", "6")
+    assert run(capsys, "search", "korobov", "--p", "2", "--m", "3")[0] == 3
+
+
 def test_search_korobov_budget(capsys):
     code, out, err = run(
         capsys, "search", "korobov", "--p", "2", "--m", "6", "--budget", "10"

@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from math import prod
 from unittest import mock
@@ -167,6 +168,7 @@ def _point_sets(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_point_sets())
+@example(PointSetD([(F(1, 3),), (F(1, 3),), (F(0),), (F(5, 7),)]))  # no tail axis
 def test_oracle_matches_reference_property(pts):
     _assert_kernel_matches_reference(pts)
 
@@ -202,9 +204,25 @@ def _pooled_point_sets(draw, coordinates=_coordinates):
     return PointSetD(draw(st.lists(st.tuples(*axes), min_size=1, max_size=12)))
 
 
+# sweep buckets (the points at one value of the first axis) that spread over
+# more than one index along only some tail axes: in 3-D along the first tail
+# axis only, then the last only; in 4-D along tail axes 0 and 2, then 0 and 1
+SPREAD_3D = [
+    (F(1, 8), F(1, 4), F(1, 2)), (F(1, 8), F(3, 4), F(1, 2)), (F(3, 8), F(1, 2), F(1, 4)),
+    (F(3, 8), F(1, 2), F(3, 4)), (F(5, 8), F(1, 4), F(3, 4)), (F(7, 8), F(3, 4), F(1, 4)),
+]
+SPREAD_4D = [
+    (F(1, 8), F(1, 4), F(1, 2), F(1, 2)), (F(1, 8), F(3, 4), F(1, 2), F(1, 4)),
+    (F(3, 8), F(1, 2), F(1, 4), F(3, 4)), (F(3, 8), F(1, 4), F(3, 4), F(3, 4)),
+    (F(5, 8), F(3, 4), F(1, 4), F(1, 2)), (F(7, 8), F(1, 2), F(3, 4), F(1, 4)),
+]
+
+
 @settings(max_examples=30, deadline=None)
 @given(_pooled_point_sets())
 @example(PointSetD([(F(1, 4), F(1, 2), F(1, 3)), (F(1, 4), F(3, 4), F(1, 3))] * 3))
+@example(PointSetD(SPREAD_3D))
+@example(PointSetD(SPREAD_4D))
 def test_oracle_matches_reference_on_shared_tail_values(pts):
     _assert_kernel_matches_reference(pts)
 
@@ -262,8 +280,14 @@ def test_prefix_sweep_matches_per_prefix_loop(pts):
     assert prefix_discrepancies(pts) == _prefix_discrepancies_reference(pts)
 
 
+def _huge(*rows):
+    """Points with coordinates k / 3^25, k not divisible by 3."""
+    return PointSetD([tuple(F(3 * k + 1, 3**25) for k in row) for row in rows])
+
+
 @settings(max_examples=25, deadline=None)
 @given(_huge_base_3_point_sets())
+@example(_huge((5, 10**9), (7, 2), (5, 10**9), (10**11, 4), (7, 2), (5, 10**9)))
 def test_prefix_sweep_matches_per_prefix_loop_beyond_int64(pts):
     denoms, _, _ = disc._rescaled_columns(pts)
     assert pts.n * prod(denoms) >= 2**62
@@ -272,6 +296,7 @@ def test_prefix_sweep_matches_per_prefix_loop_beyond_int64(pts):
 
 @settings(max_examples=10, deadline=None)
 @given(_huge_base_3_point_sets())
+@example(_huge((0, 5, 9), (10**9, 7, 2), (5 * 10**10, 10**11, 4), (10**11, 1, 10**10)))
 def test_grid_kernel_matches_reference_beyond_int64(pts):
     denoms, _, _ = disc._rescaled_columns(pts)
     assert pts.n * prod(denoms) >= 2**62
@@ -286,6 +311,23 @@ def test_grid_kernel_beyond_int64_in_four_dimensions():
     denoms, _, _ = disc._rescaled_columns(pts)
     assert pts.n * prod(denoms) >= 2**62
     _assert_kernel_matches_reference(pts)
+
+
+def test_sweep_memory_is_the_counts_volumes_and_three_scratch_slices():
+    # the first bucket spreads along both tail axes from index 0, so its box
+    # is the whole slice; its two stretches take into different scratch
+    # slices, as a take whose out overlaps its input goes through a copy
+    rows = [(F(k, 1024), F(7 * k % 512, 512), F(11 * k % 512, 512)) for k in range(1, 600)]
+    pts = PointSetD([(F(0), F(0), F(1, 2)), (F(0), F(1, 2), F(0)), *rows])
+    dn, nu, ca = disc._rescaled_columns(pts)
+    tracemalloc.start()
+    try:
+        disc._grid_extremes(pts.n, dn, nu, ca)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slice_bytes = 8 * len(ca[1]) * len(ca[2])  # int64 counts; 513 x 513 corners
+    assert peak < 5.5 * slice_bytes
 
 
 def test_prefix_budget_counts_cells_times_points():
