@@ -500,12 +500,19 @@ def load_point_set(path):
     for key, actual, what in (("dim", len(rows[0]), "columns"), ("count", len(rows), "rows")):
         if meta.get(key, actual) != actual:
             raise ParseError(f"header {key}={meta[key]}, but the file has {actual} {what}", at[key])
+    # a lattice of p^m points has no more rows; p^min(m, bits) decides it for any m
+    n, m = len(rows), meta.get("m")
+    if "p" in meta and m is not None and n > meta["p"] ** min(m, n.bit_length()):
+        raise ParseError(f"header m={m}, but the file has {n} rows, more than p^m", at["m"])
     return PointSetD._checked(tuple(rows)), meta
 
 
 def _parse_header_value(key: str, text: str, line: str) -> int:
     try:
-        return as_prime(int(text)) if key == "p" else int(text)
+        value = as_prime(int(text)) if key == "p" else int(text)
+        if key == "m" and value < 1:
+            raise ValueError("m must be >= 1")
+        return value
     except ValueError as exc:
         raise ParseError(f"bad header {key}={text}: {exc}", line.index("=") + 1) from None
 

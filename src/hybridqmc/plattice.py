@@ -257,28 +257,17 @@ def index_walk(columns, shift, count: int, p: int):
         yield vector
 
 
-def _residue_digits(a: Poly, B: Poly) -> tuple:
-    """The deg B coefficients of a mod B, lowest first."""
-    r = (a % B).coeffs
-    return r + (0,) * (B.degree - len(r))
-
-
 def sublattice_indices(spec: SubLatticeSpec, cfg: LatticeConfig) -> list:
-    """Ascending indices n in the block with n(X) in the residue class: a walk
-    over the block in index order keeps the digits of n(X) - R mod B, all 0 there."""
+    """Ascending indices n in the block with n(X) in the residue class, built
+    from the class's parametrization: with a = start(X), which has no digit
+    below u, and h0 = (R - a) mod B they are n(X) = a + h0 + l*B over deg l < d,
+    one index_walk over l's p^d digit vectors (columns X^c*B over u digits)."""
     _check_sublattice(spec, cfg)
     p, B, start = cfg.p, spec.cls.modulus, spec.block_start
-    low, column, columns = B.coeffs[:-1], [1, *[0] * B.degree], []
-    for _ in range(spec.u):  # X^c mod B: X^deg B = -low, as B is monic
-        top = column[-1]
-        columns.append([(x - top * c) % p for x, c in zip(column, low)])
-        column = [0, *columns[-1]]
-    shift = _residue_digits(poly_from_int(start, p) - spec.cls.residue, B)
-    walk = index_walk(columns, shift, p**spec.u, p)
-    out = [start + j for j, residue in enumerate(walk) if not any(residue)]
-    if len(out) != p**spec.d:
-        raise AssertionError("block/residue intersection has unexpected size")
-    return out
+    h0 = ((spec.cls.residue - poly_from_int(start, p)) % B).coeffs
+    columns = [[*[0] * c, *B.coeffs, *[0] * (spec.d - 1 - c)] for c in range(spec.d)]
+    walk = index_walk(columns, h0 + (0,) * (spec.u - len(h0)), p**spec.d, p)
+    return sorted(start + _digits_to_int(reversed(low), p) for low in walk)
 
 
 def sublattice_enumerate(spec: SubLatticeSpec, cfg: LatticeConfig) -> list:
@@ -307,17 +296,17 @@ def sublattice_matrices(spec: SubLatticeSpec, cfg: LatticeConfig):
     """Affine digit map of the sub-lattice: (matrices, shifts).
 
     matrices[i] is m x d with entry [j][c] = a_{j+c+1} from the expansion of
-    {B*q_i/pX}; shifts[i] is the m-digit vector of the anchor point.
+    {B*q_i/pX}; shifts[i] holds the m leading digits of {n0*q_i/pX} for the
+    anchor index n0 = C X^d B + R, the d = 1 map of n0 (deg n0 < m, as n0 lies
+    in the block).  Both read the 2m - 1 Laurent digits of q_i/pX through
+    digit_matrix.
     """
     _check_sublattice(spec, cfg)
-    B, R = spec.cls.modulus, spec.cls.residue
-    m = cfg.m
-    n0 = spec.shift_poly.shift(spec.d) * B + R
-    matrices = tuple(
-        digit_matrix(laurent_coeffs(q, cfg.modulus, 2 * m - 1), B, m, spec.d)
-        for q in cfg.generators
-    )
-    shifts = tuple(laurent_coeffs(n0 * q, cfg.modulus, m) for q in cfg.generators)
+    B, m = spec.cls.modulus, cfg.m
+    n0 = spec.shift_poly.shift(spec.d) * B + spec.cls.residue
+    digits = [laurent_coeffs(q, cfg.modulus, 2 * m - 1) for q in cfg.generators]
+    matrices = tuple(digit_matrix(a, B, m, spec.d) for a in digits)
+    shifts = tuple(tuple(row[0] for row in digit_matrix(a, n0, m, 1)) for a in digits)
     return matrices, shifts
 
 

@@ -197,6 +197,40 @@ def test_headers_that_disagree_with_the_rows_are_parse_errors(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "# p=2\n# m=-4\n1/2 1/4\n",  # read as 7/8 before m was checked
+        "# m=0\n1/2 1/4\n",  # without a p header too
+        "# p=2\n# m=1\n0/2\n1/2\n1/4\n",  # 3 rows, more than 2^1: read as 5/12 before
+        "# p=3\n# m=2\n" + "0/3\n" * 10,
+    ],
+)
+def test_m_header_below_one_or_too_small_for_the_rows_is_a_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "pts.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "disc", "exact", "--input", str(path))
+    assert code == 1 and not out and err.startswith("parse error")
+    assert "m=" in err and "(at position 4)" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# p=2\n# m=1\n0/2\n1/2\n",  # p^m rows
+        "# p=3\n# m=2\n" + "0/3\n" * 9,
+        "# p=2\n# m=3\n0.5\n0.1\n",  # the m header does not fix the denominators
+        "# p=3\n# m=1000000000000\n0/3\n1/3\n",  # p^m is never formed
+        "# m=2\n" + "0/4\n" * 9,  # without a p header, m bounds nothing
+    ],
+)
+def test_m_header_that_fits_the_rows_is_read(tmp_path, capsys, text):
+    path = tmp_path / "pts.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "disc", "exact", "--input", str(path))
+    assert code == 0 and out and not err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("plattice", "--px", "X^3+X+1", "--q", "X"),

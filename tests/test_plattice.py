@@ -26,7 +26,6 @@ from hybridqmc.plattice import (
     LatticeConfig,
     SubLatticeSpec,
     _laurent_points,
-    _residue_digits,
     build_generating_matrix,
     coprime_to_irreducible,
     index_walk,
@@ -308,8 +307,8 @@ def test_sublattice_cardinality_and_affine_agreement_random():
 
 
 @st.composite
-def _block_specs(draw, max_m=5):
-    p = draw(st.sampled_from((2, 3, 5)))
+def _block_specs(draw, max_m=5, primes=(2, 3, 5)):
+    p = draw(st.sampled_from(primes))
     m = draw(st.integers(1, max_m))
     cfg = LatticeConfig(p, irreducible_poly(p, m), (Poly.one(p),))
     u = draw(st.integers(0, m))
@@ -420,12 +419,12 @@ def test_laurent_points_match_the_poly_product_route(case):
         assert plattice_point_laurent(n, cfg) == point
 
 
-def _walked_columns(spec, cfg):
-    """The columns sublattice_indices hands to index_walk."""
+def _walked(spec, cfg):
+    """The (columns, shift, count) sublattice_indices hands to index_walk."""
     seen = []
 
     def spy(columns, shift, count, p):
-        seen.append([tuple(c) for c in columns])
+        seen.append(([tuple(c) for c in columns], tuple(shift), count))
         return index_walk(columns, shift, count, p)
 
     with mock.patch.object(plattice, "index_walk", spy):
@@ -433,31 +432,72 @@ def _walked_columns(spec, cfg):
     return seen[0]
 
 
+def _padded(poly, length):
+    """The coefficients of poly, lowest first, padded with zeros to length."""
+    return poly.coeffs + (0,) * (length - len(poly.coeffs))
+
+
 @settings(max_examples=200, deadline=None)
-@example(  # deg B = 0
+@example(  # deg B = 0: the columns X^c, c < u, are the unit vectors
     (
         SubLatticeSpec(3, 0, ResidueClass(Poly.one(3), Poly.zero(3))),
         LatticeConfig(3, irreducible_poly(3, 4), (Poly.one(3),)),
     )
 )
-@example(  # deg B = u: columns X^c mod B, c < u, are the unit vectors
+@example(  # deg B = u: no column, and the shift alone is the one index
     (
         SubLatticeSpec(3, 8, ResidueClass(P("X^3+X+1"), P("X"))),
         LatticeConfig(2, irreducible_poly(2, 5), (Poly.one(2),)),
     )
 )
-@example(  # p = 5, deg B = 2 < u: the walk reduces by B's low part
+@example(  # p = 5, deg B = 2 < u: the columns B and X*B
     (
         SubLatticeSpec(4, 0, ResidueClass(P("X^2+3X+2", 5), P("4", 5))),
         LatticeConfig(5, irreducible_poly(5, 4), (Poly.one(5),)),
     )
 )
 @given(_block_specs(6))
-def test_walked_index_columns_are_the_residues_of_powers_of_x(case):
+def test_walked_index_columns_are_the_multiples_of_the_class_modulus(case):
+    # n(X) = a + h0 + l*B over deg l < d: the walk runs over the p^d vectors
+    # l, not over the p^u indices of the block
     spec, cfg = case
-    p, B = cfg.p, spec.cls.modulus
-    want = [_residue_digits(poly_from_int(p**c, p), B) for c in range(spec.u)]
-    assert _walked_columns(spec, cfg) == want
+    p, B, R, u = cfg.p, spec.cls.modulus, spec.cls.residue, spec.u
+    columns, shift, count = _walked(spec, cfg)
+    assert columns == [_padded(poly_from_int(p**c, p) * B, u) for c in range(spec.d)]
+    assert shift == _padded((R - poly_from_int(spec.block_start, p)) % B, u)
+    assert count == p**spec.d
+
+
+@st.composite
+def _lattice_block_specs(draw):
+    spec, cfg = draw(_block_specs(4, (2, 3, 5, 7)))
+    p, m = cfg.p, cfg.m
+    qvec = draw(st.lists(st.integers(1, p**m - 1), min_size=1, max_size=3))
+    return spec, LatticeConfig(p, cfg.modulus, tuple(poly_from_int(q, p) for q in qvec))
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # d = 0
+    (
+        SubLatticeSpec(2, 9, ResidueClass(P("X^2+1", 3), P("X+2", 3))),
+        LatticeConfig(3, irreducible_poly(3, 3), (P("X^2", 3), P("2X+1", 3))),
+    )
+)
+@example(  # n0 = 0: the block at 0 meets the class of 0
+    (
+        SubLatticeSpec(2, 0, ResidueClass(P("X+1", 7), Poly.zero(7))),
+        LatticeConfig(7, irreducible_poly(7, 3), (P("3X^2+X", 7),)),
+    )
+)
+@given(_lattice_block_specs())
+def test_sublattice_shifts_match_the_poly_product_route(case):
+    # the shifts read through digit_matrix against laurent_coeffs of the
+    # Poly product n0*q_i, n0 = C X^d B + R the anchor index of the block
+    spec, cfg = case
+    n0 = spec.shift_poly.shift(spec.d) * spec.cls.modulus + spec.cls.residue
+    assert poly_to_int(n0) in sublattice_indices(spec, cfg)
+    want = tuple(laurent_coeffs(n0 * q, cfg.modulus, cfg.m) for q in cfg.generators)
+    assert sublattice_matrices(spec, cfg)[1] == want
 
 
 def _congruence_shift_poly(spec):
