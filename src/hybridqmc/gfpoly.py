@@ -165,12 +165,6 @@ class Poly:
         self._check_same_field(other)
         return Poly._raw(self.p, _long_division(self.coeffs, other.coeffs, self.p, False)[1])
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by X^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("negative shift")
-        return self if k == 0 or self.is_zero else Poly._raw(self.p, (0,) * k + self.coeffs)
-
     def scale(self, c: int) -> "Poly":
         """Multiply by the scalar c in GF(p)."""
         p = self.p

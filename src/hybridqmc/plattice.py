@@ -222,7 +222,7 @@ class SubLatticeSpec:
         down by d, and that quotient is a // B: a + h0 - R = 0 mod B and
         deg((a mod B) + h0 - R) < deg B, so (a mod B) + h0 - R = 0."""
         quotient = poly_from_int(self.block_start, self.p) // self.cls.modulus
-        return Poly(self.p, quotient.coeffs[self.d :])
+        return Poly._raw(self.p, quotient.coeffs[self.d :])
 
 
 def coprime_to_irreducible(B: Poly, pX: Poly) -> bool:
@@ -260,11 +260,13 @@ def index_walk(columns, shift, count: int, p: int):
 def sublattice_indices(spec: SubLatticeSpec, cfg: LatticeConfig) -> list:
     """Ascending indices n in the block with n(X) in the residue class, built
     from the class's parametrization: with a = start(X), which has no digit
-    below u, and h0 = (R - a) mod B they are n(X) = a + h0 + l*B over deg l < d,
-    one index_walk over l's p^d digit vectors (columns X^c*B over u digits)."""
+    below u, and h0 = (R - a) mod B (one division of the integer list R - a)
+    they are n(X) = a + h0 + l*B over deg l < d: one index_walk over l's p^d
+    digit vectors (columns X^c*B over u digits)."""
     _check_sublattice(spec, cfg)
     p, B, start = cfg.p, spec.cls.modulus, spec.block_start
-    h0 = ((spec.cls.residue - poly_from_int(start, p)) % B).coeffs
+    diff = itertools.zip_longest(spec.cls.residue.coeffs, poly_from_int(start, p).coeffs, fillvalue=0)
+    h0 = _long_division([r - a for r, a in diff], B.coeffs, p, False)[1]
     columns = [[*[0] * c, *B.coeffs, *[0] * (spec.d - 1 - c)] for c in range(spec.d)]
     walk = index_walk(columns, h0 + (0,) * (spec.u - len(h0)), p**spec.d, p)
     return sorted(start + _digits_to_int(reversed(low), p) for low in walk)
@@ -297,13 +299,17 @@ def sublattice_matrices(spec: SubLatticeSpec, cfg: LatticeConfig):
 
     matrices[i] is m x d with entry [j][c] = a_{j+c+1} from the expansion of
     {B*q_i/pX}; shifts[i] holds the m leading digits of {n0*q_i/pX} for the
-    anchor index n0 = C X^d B + R, the d = 1 map of n0 (deg n0 < m, as n0 lies
-    in the block).  Both read the 2m - 1 Laurent digits of q_i/pX through
-    digit_matrix.
+    anchor index n0 = C X^d B + R, formed on coefficient lists, the d = 1 map
+    of n0 (deg n0 < m, as n0 lies in the block).  Both read the 2m - 1
+    Laurent digits of q_i/pX through digit_matrix.
     """
     _check_sublattice(spec, cfg)
-    B, m = spec.cls.modulus, cfg.m
-    n0 = spec.shift_poly.shift(spec.d) * B + spec.cls.residue
+    B, m, p, C, R = spec.cls.modulus, cfg.m, cfg.p, spec.shift_poly.coeffs, spec.cls.residue.coeffs
+    n0 = [*R, *[0] * (spec.d + len(C) + B.degree - len(R) if C else 0)]  # deg R < deg B
+    for i, c in enumerate(C, spec.d):
+        for j, b in enumerate(B.coeffs):
+            n0[i + j] += c * b
+    n0 = Poly._raw(p, tuple(x % p for x in n0))
     digits = [laurent_coeffs(q, cfg.modulus, 2 * m - 1) for q in cfg.generators]
     matrices = tuple(digit_matrix(a, B, m, spec.d) for a in digits)
     shifts = tuple(tuple(row[0] for row in digit_matrix(a, n0, m, 1)) for a in digits)

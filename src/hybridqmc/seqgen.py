@@ -8,7 +8,10 @@ coordinate is an exact rational with denominator a power of p.
 Elementary anchored boxes whose widths are multiples of p^(-e*l) pull
 back, coordinate by coordinate, to finitely many disjoint residue
 classes of the index n; box_to_residue_classes materializes that
-correspondence for the configured sigma bijections.
+correspondence for the configured sigma bijections.  A box sweep meets few
+distinct inputs, so each dimension's (modulus, residue) pairs, keyed by
+(base, sigma, level, numerator), and each CRT join, keyed by both pairs, sit
+in lru_caches of 4096 entries; every call returns a fresh list.
 """
 
 from __future__ import annotations
@@ -159,45 +162,41 @@ def box_to_residue_classes(cfg: HaltonConfig, levels, numerators) -> list:
     remainder theorem on the pairwise-coprime base powers.  Output is
     sorted by (deg modulus, modulus encoding, residue encoding).
     """
-    levels = list(levels)
-    numerators = list(numerators)
+    levels, numerators = list(levels), list(numerators)
     if len(levels) != cfg.s or len(numerators) != cfg.s:
         raise ValueError("need one level and one numerator per dimension")
-    p = cfg.p
-    per_dim = []
+    p, keys = cfg.p, []  # every argument is checked before the first cache lookup
     for b, sig, l, v in zip(cfg.bases, cfg.sigmas, levels, numerators):
-        e = b.degree
-        q = p**e
         if l < 0:
             raise ValueError("levels must be >= 0")
-        cap = q**l
+        cap = p ** (b.degree * l)
         if not 1 <= v <= cap:
-            raise ValueError(f"numerator {v} outside [1, {q}^{l}]")
-        if v == cap:
-            per_dim.append(None)
-            continue
-        digits = [v // q ** (l - 1 - j) % q for j in range(l)]  # v < q^l, highest first
-        options = []
-        prefix = Poly.zero(p)
-        b_pow = Poly.one(p)
-        for j, w in enumerate(digits):
-            for c in range(w):
-                residue = prefix + poly_from_int(sig.inverse[c], p) * b_pow
-                options.append((b_pow * b, residue))
-            prefix = prefix + poly_from_int(sig.inverse[w], p) * b_pow
-            b_pow = b_pow * b
-        per_dim.append(options)
-    constrained = [opts for opts in per_dim if opts is not None]
-    if not constrained:
+            raise ValueError(f"numerator {v} outside [1, {p**b.degree}^{l}]")
+        if v < cap:
+            keys.append((b, sig, l, v))
+    if not keys:
         return [ResidueClass(Poly.one(p), Poly.zero(p))]
-    classes = []
-    for combo in itertools.product(*constrained):
-        modulus, residue = combo[0]
-        for b2, r2 in combo[1:]:
-            modulus, residue = _crt_pair(modulus, residue, b2, r2)
-        classes.append(ResidueClass(modulus, residue))
-    classes.sort(key=_class_sort_key)
-    return classes
+    combos = itertools.product(*itertools.starmap(_digit_classes, keys))
+    joined = (functools.reduce(lambda x, y: _crt_pair(*x, *y), combo) for combo in combos)
+    return sorted((ResidueClass(*pair) for pair in joined), key=_class_sort_key)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)  # 2.0 must not hit the key of 2
+def _digit_classes(b: Poly, sigma: SigmaBijection, level: int, v: int) -> tuple:
+    """The (b^(j+1), residue) pairs of the n whose radical inverse in base b
+    lies below v / p^(e*level), 0 < v < p^(e*level): for w_j the j-th base-p^e
+    digit of v, highest first, and c < w_j, n's digit i < j is sigma^-1(w_i)
+    and its digit j is sigma^-1(c)."""
+    p, q = b.p, sigma.p**sigma.e
+    digits = [v // q ** (level - 1 - j) % q for j in range(level)]
+    options = []
+    prefix, b_pow = Poly.zero(p), Poly.one(p)
+    for w in digits:
+        for c in range(w):
+            options.append((b_pow * b, prefix + poly_from_int(sigma.inverse[c], p) * b_pow))
+        prefix = prefix + poly_from_int(sigma.inverse[w], p) * b_pow
+        b_pow = b_pow * b
+    return tuple(options)
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,6 +208,7 @@ def _crt_coefficient(b1: Poly, b2: Poly) -> Poly:
     return s
 
 
+@functools.lru_cache(maxsize=4096)
 def _crt_pair(b1: Poly, r1: Poly, b2: Poly, r2: Poly):
     s = _crt_coefficient(b1, b2)
     # r1 + b1 * (s * (r2 - r1) mod b2) is reduced mod b1*b2 when r1 is mod b1

@@ -83,6 +83,8 @@ def test_workload_setup_leaves_caches_cold():
         "hybridqmc.walsh._combined_residues",
         "hybridqmc.discrepancy._shape_table",
         "hybridqmc.seqgen._crt_coefficient",
+        "hybridqmc.seqgen._crt_pair",
+        "hybridqmc.seqgen._digit_classes",
         *_WARMED_BY_SETUP,
     } <= set(sizes)
     cold = {name: size for name, size in sizes.items() if name not in _WARMED_BY_SETUP}

@@ -27,6 +27,7 @@ from hybridqmc.gfpoly import (
     poly_to_int,
     valuation,
 )
+from poly_shift import shifted
 
 
 def P(text, p=2):
@@ -271,10 +272,10 @@ def test_laurent_multiplication_check():
         T = 7
         q0 = num // den
         prefix = laurent_coeffs(num, den, T)
-        series = q0.shift(T)
+        series = shifted(q0, T)
         for j, a in enumerate(prefix, start=1):
-            series = series + poly_from_int(a, p).shift(T - j)
-        err = num.shift(T) - den * series
+            series = series + shifted(poly_from_int(a, p), T - j)
+        err = shifted(num, T) - den * series
         assert err.degree < den.degree
 
 
@@ -402,7 +403,7 @@ def _laurent_coeffs_reference(numerator, denominator, t):
     r = numerator % denominator
     if r.is_zero:
         return (0,) * t
-    q, _ = divmod(r.shift(t), denominator)
+    q, _ = divmod(shifted(r, t), denominator)
     qc = q.coeffs
     return tuple(qc[t - j] if 0 <= t - j < len(qc) else 0 for j in range(1, t + 1))
 

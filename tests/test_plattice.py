@@ -38,6 +38,7 @@ from hybridqmc.plattice import (
     sublattice_matrices,
 )
 from hybridqmc.walsh import walsh_discrepancy_bound
+from poly_shift import shifted
 
 
 def P(text, p=2):
@@ -346,7 +347,7 @@ def test_shift_poly_is_the_fixed_high_part(case):
     # the matching indices are (l + X^d C) B + R for every l of degree < d
     spec, cfg = case
     p, B, R, d = cfg.p, spec.cls.modulus, spec.cls.residue, spec.d
-    high = spec.shift_poly.shift(d)
+    high = shifted(spec.shift_poly, d)
     indices = sorted(poly_to_int((poly_from_int(l, p) + high) * B + R) for l in range(p**d))
     assert indices == sublattice_indices(spec, cfg)
 
@@ -494,7 +495,7 @@ def test_sublattice_shifts_match_the_poly_product_route(case):
     # the shifts read through digit_matrix against laurent_coeffs of the
     # Poly product n0*q_i, n0 = C X^d B + R the anchor index of the block
     spec, cfg = case
-    n0 = spec.shift_poly.shift(spec.d) * spec.cls.modulus + spec.cls.residue
+    n0 = shifted(spec.shift_poly, spec.d) * spec.cls.modulus + spec.cls.residue
     assert poly_to_int(n0) in sublattice_indices(spec, cfg)
     want = tuple(laurent_coeffs(n0 * q, cfg.modulus, cfg.m) for q in cfg.generators)
     assert sublattice_matrices(spec, cfg)[1] == want

@@ -202,15 +202,16 @@ def test_box_grid_nondefault_sigma_p3():
 
 @st.composite
 def _halton_configs(draw):
-    # p in {2, 3}, one or two pairwise coprime monic bases of degree <= 2,
-    # each with a random sigma fixing 0
+    # p in {2, 3}, one to three pairwise coprime monic bases of degree <= 2,
+    # each with a random sigma fixing 0; three bases join by two CRT steps
     p = draw(st.sampled_from((2, 3)), label="p")
+    monics = [poly_from_int(p**e + low, p) for e in (1, 2) for low in range(p**e)]
     bases = []
-    for _ in range(draw(st.integers(1, 2), label="s")):
-        e = draw(st.integers(1, 2), label="e")
-        b = poly_from_int(p**e + draw(st.integers(0, p**e - 1), label="b low"), p)
-        assume(all(poly_gcd(b, other).degree == 0 for other in bases))
-        bases.append(b)
+    for _ in range(draw(st.integers(1, 3), label="s")):
+        coprime = [b for b in monics if all(poly_gcd(b, other).degree == 0 for other in bases)]
+        if not coprime:
+            break
+        bases.append(draw(st.sampled_from(coprime), label="base"))
     sigmas = [
         SigmaBijection(p, b.degree, (0, *draw(st.permutations(range(1, p**b.degree)))))
         for b in bases
@@ -223,7 +224,8 @@ def _halton_configs(draw):
 def test_box_membership_matches_one_class(cfg, data):
     # the Halton point of n lies in the anchored box exactly when n lies in
     # one of the box's residue classes
-    levels = [data.draw(st.integers(0, 3), label="level") for _ in cfg.bases]
+    top = 3 if cfg.s < 3 else 2  # three dimensions at level 3 reach 24^3 classes
+    levels = [data.draw(st.integers(0, top), label="level") for _ in cfg.bases]
     caps = [cfg.p ** (e * l) for e, l in zip(cfg.degrees, levels)]
     vs = [data.draw(st.integers(1, c), label="numerator") for c in caps]
     n = data.draw(st.integers(0, cfg.p**12), label="n")
@@ -233,6 +235,85 @@ def test_box_membership_matches_one_class(cfg, data):
     hits = sum(1 for c in classes if c.contains(n))
     assert hits <= 1
     assert in_box == (hits == 1)
+
+
+def test_box_classes_are_fresh_lists_of_new_objects():
+    # the caches hold tuples of Polys; every call hands out its own list
+    sig = SigmaBijection(3, 1, (0, 2, 1))
+    cfg = HaltonConfig.make(3, (Poly.x(3), P("X+1", 3)), (sig, identity_sigma(3, 1)))
+    first = box_to_residue_classes(cfg, [2, 1], [5, 2])
+    second = box_to_residue_classes(cfg, [2, 1], [5, 2])
+    assert len(first) > 1 and first == second and first is not second
+    assert not any(a is b for a, b in zip(first, second))
+    kept = list(second)
+    first.reverse()
+    first.append(first[0])
+    del first[1]
+    assert second == kept
+    assert box_to_residue_classes(cfg, [2, 1], [5, 2]) == kept
+
+
+@pytest.mark.parametrize(
+    "levels, numerators", [([1, -1], [1, 1]), ([1, 1], [1, 3]), ([1, 1], [0, 1])]
+)
+def test_box_classes_check_every_argument_before_a_cache_lookup(levels, numerators):
+    cfg = HaltonConfig.make(2, (Poly.x(2), P("X+1")))
+    before = seqgen._digit_classes.cache_info()
+    with pytest.raises(ValueError):
+        box_to_residue_classes(cfg, levels, numerators)
+    assert seqgen._digit_classes.cache_info() == before
+
+
+def test_box_classes_reject_a_float_numerator_after_its_int_is_cached():
+    # the cache is typed: a float that equals a cached int key still fails
+    cfg = HaltonConfig.make(2, (Poly.x(2),))
+    box_to_residue_classes(cfg, [2], [3])
+    with pytest.raises(TypeError):
+        box_to_residue_classes(cfg, [2], [3.0])
+
+
+def _digit_classes_uncached(b, sigma, level, v):
+    """One dimension's (modulus, residue) pairs by their definition: with
+    w_0, w_1, ... the base-q digits of v, highest first (q = p^e), and
+    c < w_j, the class mod b^(j+1) of the n whose base-b digits 0..j-1 map
+    to w_0..w_(j-1) under sigma and whose digit j maps to c."""
+    p, q = b.p, len(sigma.table)
+    w = []
+    for _ in range(level):
+        v, digit = divmod(v, q)
+        w.insert(0, digit)
+    powers = [Poly.one(p)]
+    for _ in range(level):
+        powers.append(powers[-1] * b)
+    pairs = []
+    for j in range(level):
+        for c in range(w[j]):
+            residue = Poly.zero(p)
+            for i, image in enumerate([*w[:j], c]):
+                residue = residue + poly_from_int(sigma.table.index(image), p) * powers[i]
+            pairs.append((powers[j + 1], residue))
+    return tuple(pairs)
+
+
+@st.composite
+def _dimension_keys(draw):
+    # a non-identity sigma needs p^e >= 3, so p = 2 takes a quadratic base
+    p = draw(st.sampled_from((2, 3, 5)), label="p")
+    e = draw(st.integers(2 if p == 2 else 1, 2), label="e")
+    b = poly_from_int(p**e + draw(st.integers(0, p**e - 1), label="b low"), p)
+    images = draw(st.permutations(range(1, p**e)), label="sigma")
+    assume(images != sorted(images))
+    level = draw(st.integers(1, 3), label="level")
+    v = draw(st.integers(1, p ** (e * level) - 1), label="numerator")
+    return b, SigmaBijection(p, e, (0, *images)), level, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dimension_keys())
+def test_cached_digit_classes_match_an_uncached_construction(key):
+    want = _digit_classes_uncached(*key)
+    assert seqgen._digit_classes(*key) == want
+    assert seqgen._digit_classes(*key) == want  # the cached answer, read again
 
 
 @st.composite
