@@ -9,8 +9,9 @@ candidates keeps running dominance counts over the other axes (Dobkin,
 Eppstein & Mitchell 1996).  A step reads only the box of corners whose
 counts the step's points change, since between changes a corner's excess
 only falls and its deficit only grows; memory is the counts plus a few
-scratch slices of the grid, and the arithmetic stays in integers (int64
-while it cannot overflow, Python ints beyond).
+scratch slices of the grid, and the arithmetic stays in integers: int32
+while n Q < 2^31 for n points and Q the product of the common
+denominators, int64 while n Q < 2^62, Python ints beyond.
 
 The certificate assembles an upper bound on N~ * D* of every hybrid
 prefix from per-level worst cases: digit blocks of size p^u, residue
@@ -153,6 +154,15 @@ def star_discrepancy_exact(points: PointSetD, budget: int | None = None) -> Frac
     return Fraction(max(m1, m2, 0), points.n * prod(denoms))
 
 
+def _lane_type(n: int, big_q: int):
+    """The narrowest exact lanes of a sweep over n points whose common
+    denominators multiply to big_q.  Its counts times big_q, and its volumes
+    n or count times prod(cand) <= big_q and their partial products, lie in
+    [0, n big_q], so every value it forms, a difference included, lies in
+    [-n big_q, n big_q]."""
+    return _np.int32 if n * big_q < 2**31 else _np.int64 if n * big_q < 2**62 else object
+
+
 def _grid_extremes(n, denoms, numerators, cands):
     """Largest closed-box excess and open-box deficit over the corner grid,
     as integers over n * prod(denoms).
@@ -167,13 +177,15 @@ def _grid_extremes(n, denoms, numerators, cands):
     only grows: a step reads the deficit on the box before the add and the
     excess after.  Untouched corners have excess <= 0, below the top tail
     corner's at the last point, and the last step, which adds no points,
-    reads the whole slice's deficit.  A bucket's histogram on the grid of its
-    own distinct tail indices is summed there, then stretched by run lengths
-    along each axis where it holds two or more indices and broadcast along
-    the rest; memory is the counts, their volumes and three scratch slices.
+    reads the whole slice's deficit.  A bucket on one index per tail axis adds
+    len(rows) * prod(denoms) to its box as one scalar; another's histogram on
+    the grid of its own tail indices is summed there, stretched by run lengths
+    along each axis where it spreads and broadcast along the rest.  Memory is
+    the counts, their volumes and three scratch slices, in int32 lanes while
+    n * prod(denoms) < 2^31, int64 below 2^62, else Python ints (_lane_type).
     """
     big_q = prod(denoms)
-    dtype = _np.int64 if n * big_q < 2**62 else object
+    dtype = _lane_type(n, big_q)
     axis = max(range(len(cands)), key=lambda i: len(cands[i]))
     tail = [i for i in range(len(cands)) if i != axis]
     index = [{c: j for j, c in enumerate(cand)} for cand in cands]
@@ -187,7 +199,7 @@ def _grid_extremes(n, denoms, numerators, cands):
     closed = counts[(..., *[slice(1, None)] * len(tail))]
     opened = counts[(..., *[slice(-1)] * len(tail))]
     vols, works, spares = _np.empty((3, nvol.size), dtype=dtype)
-    scale, ramp = _np.array(big_q, dtype=dtype), _np.arange(len(cands[axis]))
+    ramp = _np.arange(len(cands[axis]))
     excess, deficit = [], []
     for c0, rows in zip(cands[axis], buckets[:-1]):
         grids = [sorted(set(col)) for col in zip(*rows)]
@@ -195,12 +207,15 @@ def _grid_extremes(n, denoms, numerators, cands):
         nv = nvol[box]
         vol, work = vols[: nv.size].reshape(nv.shape), works[: nv.size].reshape(nv.shape)
         deficit.append(_np.subtract(_np.multiply(nv, c0, out=vol), opened[box], out=work).max())
-        flat = [0] * len(rows)
-        for k, grid in enumerate(grids):
-            flat = [f * len(grid) + bisect_left(grid, row[k]) for f, row in zip(flat, rows)]
         dims = [len(grid) for grid in grids]
-        hist = (_np.bincount(flat, minlength=prod(dims)) * scale).reshape(dims)
         spread = [ax for ax in range(len(tail)) if dims[ax] > 1]
+        hist = len(rows) * big_q
+        if spread:
+            flat = [0] * len(rows)
+            for k, grid in enumerate(grids):
+                flat = [f * len(grid) + bisect_left(grid, row[k]) for f, row in zip(flat, rows)]
+            # to the lanes before scaling: past int64, intp counts times big_q overflow
+            hist = _np.bincount(flat, minlength=prod(dims)).astype(dtype).reshape(dims) * big_q
         for ax in spread:
             _np.add.accumulate(hist, ax, out=hist)
         for ax, buffer in zip(reversed(spread), itertools.cycle((works, spares))):
@@ -229,7 +244,7 @@ def prefix_discrepancies(points: PointSetD, budget: int | None = None) -> list:
     if points.n * cells > budget:
         raise BudgetExceededError(f"{points.n} prefixes x {cells} cells exceed budget {budget}")
     big_q = prod(denoms)
-    dtype = _np.int64 if points.n * big_q < 2**62 else object
+    dtype = _lane_type(points.n, big_q)
     vol = functools.reduce(_np.multiply.outer, (_np.array(c, dtype=dtype) for c in cands))
     # closed counts times big_q behind a zero slab; open ones: shifted back one
     counts = _np.zeros([len(c) + 1 for c in cands], dtype=dtype)
@@ -403,7 +418,7 @@ def discrepancy_certificate(
 
 
 _HEADER_KEYS = ("p", "m", "dim", "count")
-_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # as --format decimal writes it
+_COORDINATE = re.compile(r"[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?")  # decimal or rational, as written
 # the longest decimal token that load_point_set reads back: int() of a
 # string takes at most 4,300 digits (Python's default limit)
 _MAX_PRECISION = 4300
@@ -519,17 +534,11 @@ def _parse_header_value(key: str, text: str, line: str) -> int:
 
 def _parse_coordinate(token: str, position: int) -> Fraction:
     """A coordinate token: numerator/denominator or a decimal, in [0, 1)."""
-    num_s, slash, den_s = token.partition("/")
     try:
-        if not slash:
-            if not _DECIMAL.fullmatch(token):
-                raise ValueError("a decimal is digits, then optionally a point and digits")
-            value = Fraction(token)
-        else:
-            num, den = int(num_s), int(den_s)
-            if den <= 0:
-                raise ValueError("denominator must be positive")
-            value = Fraction(num, den)
+        if not _COORDINATE.fullmatch(token):
+            raise ValueError("not digits, then optionally .digits or /positive digits")
+        num, slash, den = token.partition("/")
+        value = Fraction(int(num), int(den)) if slash else Fraction(token)
     except ValueError as exc:
         raise ParseError(f"bad coordinate {token!r}: {exc}", position) from None
     if not 0 <= value < 1:

@@ -307,7 +307,12 @@ def test_output_leaves_foreign_tmp_file_alone(tmp_path, capsys):
 
 @pytest.mark.parametrize("header", ["# p=2\n", ""], ids=["p=2", "no-header"])
 @pytest.mark.parametrize(
-    "token", ["1/0", "abc", "2/2", "3/2", "-1/2", "1/-2", "1", "-0", "+0.5", "1e-5", ".5", "0."]
+    "token",
+    [
+        "1/0", "abc", "2/2", "3/2", "-1/2", "1/-2", "1", "-0", "+0.5", "1e-5", ".5", "0.",
+        # int() reads these, but a rational token is digits/digits
+        "1_0/32", "+1/2", "-0/2", "1/+2", "1/2_0",
+    ],
 )
 def test_bad_coordinate_is_a_parse_error(tmp_path, capsys, header, token):
     path = tmp_path / "pts.txt"

@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import prod
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -313,12 +314,9 @@ def test_grid_kernel_beyond_int64_in_four_dimensions():
     _assert_kernel_matches_reference(pts)
 
 
-def test_sweep_memory_is_the_counts_volumes_and_three_scratch_slices():
-    # the first bucket spreads along both tail axes from index 0, so its box
-    # is the whole slice; its two stretches take into different scratch
-    # slices, as a take whose out overlaps its input goes through a copy
-    rows = [(F(k, 1024), F(7 * k % 512, 512), F(11 * k % 512, 512)) for k in range(1, 600)]
-    pts = PointSetD([(F(0), F(0), F(1, 2)), (F(0), F(1, 2), F(0)), *rows])
+def _sweep_peak(pts):
+    """The tracemalloc peak of one _grid_extremes call on pts, in bytes, and
+    the sweep's tail candidates."""
     dn, nu, ca = disc._rescaled_columns(pts)
     tracemalloc.start()
     try:
@@ -326,8 +324,87 @@ def test_sweep_memory_is_the_counts_volumes_and_three_scratch_slices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    slice_bytes = 8 * len(ca[1]) * len(ca[2])  # int64 counts; 513 x 513 corners
+    return peak, ca[1:]
+
+
+def test_sweep_memory_is_the_counts_volumes_and_three_scratch_slices():
+    # the first bucket spreads along both tail axes from index 0, so its box
+    # is the whole slice; its two stretches take into different scratch
+    # slices, as a take whose out overlaps its input goes through a copy
+    rows = [(F(k, 1024), F(7 * k % 512, 512), F(11 * k % 512, 512)) for k in range(1, 600)]
+    pts = PointSetD([(F(0), F(0), F(1, 2)), (F(0), F(1, 2), F(0)), *rows])
+    peak, (ca1, ca2) = _sweep_peak(pts)
+    slice_bytes = 8 * len(ca1) * len(ca2)  # int64 counts; 513 x 513 corners
     assert peak < 5.5 * slice_bytes
+
+
+def test_sweep_memory_on_int32_lanes():
+    # n * Q = 66 * 64^4 < 2^31, so every array of the sweep has 4-byte lanes,
+    # and the first bucket's box is the whole 65^3 slice; with 8-byte lanes
+    # the five slices would take ten.  In 3-D no slice that n * Q < 2^31
+    # allows is large enough: numpy's 8192-lane ufunc buffers and the
+    # per-point lists alone would pass half a slice.
+    h = F(1, 2)
+    rows = [tuple(F(c * k % 64, 64) for c in (1, 7, 11, 13)) for k in range(1, 64)]
+    pts = PointSetD([(F(0), F(0), h, h), (F(0), h, F(0), h), (F(0), h, h, F(0)), *rows])
+    peak, tails = _sweep_peak(pts)
+    assert pts.n * 64**4 < 2**31 and [len(c) for c in tails] == [65] * 3
+    assert peak < 5.5 * 4 * 65**3
+
+
+def _brute_prefix_discrepancies(points):
+    """c * D* of every prefix c from the brute-force corner scan, which has
+    no lanes: the reference at the lane bounds."""
+    scaled = []
+    for c in range(1, points.n + 1):
+        dn, nu, ca = disc._rescaled_columns(points.prefix(c))
+        scaled.append(F(max(*_grid_extremes_reference(c, dn, nu, ca), 0), prod(dn)))
+    return scaled
+
+
+# n * Q = 2^31 - 1, the largest product on int32 lanes, and n * Q = 2^31, the
+# smallest on int64 ones: both points lie on a zero first axis, so the closed
+# box at the corner (0, 1) holds them at volume 0, an excess of 2^31
+AT_INT32_BOUND = PointSetD([(F(1, 2**31 - 1),)])
+PAST_INT32_BOUND = PointSetD([(F(0), F(1, 2**30)), (F(0), F(3, 2**30))])
+
+
+def test_sweep_lanes_at_the_int32_bound():
+    assert disc._lane_type(1, 2**31 - 1) is np.int32
+    assert disc._lane_type(2, 2**30) is np.int64
+    for pts in (AT_INT32_BOUND, PAST_INT32_BOUND):
+        _assert_kernel_matches_reference(pts)
+        assert prefix_discrepancies(pts) == _brute_prefix_discrepancies(pts)
+    assert star_discrepancy_exact(PAST_INT32_BOUND) == 1
+    assert prefix_discrepancies(PAST_INT32_BOUND) == [1, 2]
+
+
+@st.composite
+def _straddling_point_sets(draw):
+    # column denominators 2^k with n * Q in [2^29, 2^33], on both sides of the
+    # int32 bound; an axis with k = 0 holds only zeros, and values come from a
+    # pool of at most three per axis, so buckets share tail indices
+    dim, n = draw(st.integers(2, 3)), draw(st.integers(1, 8))
+    total = draw(st.integers(29 - (n.bit_length() - 1), 33 - (n - 1).bit_length()))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=dim - 1, max_size=dim - 1)))
+    columns = []
+    for k in (b - a for a, b in zip([0, *cuts], [*cuts, total])):
+        pool = draw(st.lists(st.integers(0, 2**k - 1), min_size=1, max_size=3))
+        rest = draw(st.lists(st.sampled_from(pool), min_size=n - 1, max_size=n - 1))
+        # an odd first numerator keeps the column's denominator at 2^k
+        columns.append([F(x, 2**k) for x in (pool[0] | (k > 0), *rest)])
+    return PointSetD(list(zip(*columns)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_straddling_point_sets())
+@example(PAST_INT32_BOUND)
+@example(PointSetD([(F(0), F(1, 2**29), F(1, 2))] * 4))  # n * Q = 2^32
+def test_sweep_matches_reference_across_the_int32_bound(pts):
+    denoms, _, _ = disc._rescaled_columns(pts)
+    assert 2**29 <= pts.n * prod(denoms) <= 2**33
+    _assert_kernel_matches_reference(pts)
+    assert prefix_discrepancies(pts) == _brute_prefix_discrepancies(pts)
 
 
 def test_prefix_budget_counts_cells_times_points():
