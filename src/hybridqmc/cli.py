@@ -10,7 +10,6 @@ identical flags produce byte-identical output regardless of --workers.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from decimal import Decimal
 
@@ -22,14 +21,13 @@ from .discrepancy import (
     load_point_set,
     point_file_lines,
     prefix_reduction_bound,
-    star_discrepancy_1d,
     star_discrepancy_exact,
     write_atomic,
 )
 from .gfpoly import ParseError, as_prime, irreducible_poly, poly_parse
-from .plattice import LatticeConfig, korobov_qvec, plattice_point_laurent
+from .plattice import LatticeConfig, korobov_qvec
 from .search import check_search_budget, search_exhaustive, search_korobov
-from .seqgen import HaltonConfig, digital_points, halton_point, hybrid_point
+from .seqgen import HaltonConfig, digital_points
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -72,8 +70,9 @@ def _build_parser() -> _Parser:
     gen.add_argument("--q", help="comma-separated generator polynomials")
     gen.add_argument("--g", help="Korobov generator polynomial")
     gen.add_argument("--t", type=_int_in("t", 1), help="number of Korobov components")
-    gen.add_argument("--count", type=int, help="number of points")
-    gen.add_argument("--n", type=int, help="emit the single point of this index")
+    size = gen.add_mutually_exclusive_group()
+    size.add_argument("--count", type=int, help="number of points")
+    size.add_argument("--n", type=int, help="emit the single point of this index")
     gen.add_argument("--format", choices=["rational", "decimal"], default="rational")
     gen.add_argument("--precision", type=_int_in("precision", 1, _MAX_PRECISION), default=12)
     gen.add_argument("--output", help="output file (default: stdout)")
@@ -146,24 +145,20 @@ def _cmd_gen(args) -> int:
     if lattice is None:
         if not halton.bases:
             raise ValueError("halton generation needs at least one base")
-        point = functools.partial(halton_point, cfg=halton)
         meta = {"p": args.p, "dim": halton.s}
     elif halton is None:
-        point = functools.partial(plattice_point_laurent, cfg=lattice)
         meta = {"p": args.p, "m": lattice.m, "dim": lattice.t}
     else:
-        point = functools.partial(hybrid_point, m=lattice.m, cfg=halton, lattice=lattice)
         meta = {"p": args.p, "m": lattice.m, "dim": 1 + halton.s + lattice.t}
     if args.n is not None:
-        points = [point(args.n)]
+        points = digital_points(1, halton, lattice, start=args.n)
         meta = {}  # a single point is written without a header
     else:
         total = lattice.n_points if lattice else None  # Halton indices are unbounded
         count = args.count if args.count is not None else total or 1
-        if total is None and count < 1:
-            raise ValueError("count must be >= 1")
-        if total is not None and not 1 <= count <= total:
-            raise ValueError(f"count outside [1, {total}]")
+        if not 1 <= count <= (total or count):
+            bound = "must be >= 1" if total is None else f"outside [1, {total}]"
+            raise ValueError(f"count {bound}")
         points = digital_points(count, halton, lattice)
         meta["count"] = count
     _emit(point_file_lines(points, meta, args.format, args.precision), args.output)
@@ -174,6 +169,8 @@ def _cmd_disc(args) -> int:
     if args.mode == "certificate":
         if args.p is None:
             raise UsageError("--p is required for certificate mode")
+        if args.budget is not None:
+            raise UsageError("--budget does not apply to certificate mode")
         halton = _halton_cfg(args)
         lattice = _lattice_cfg(args)
         cert = discrepancy_certificate(lattice.m, halton, lattice).as_dict()
@@ -191,13 +188,8 @@ def _cmd_disc(args) -> int:
     if not args.input:
         raise UsageError("--input is required for exact/prefix modes")
     points, _meta = load_point_set(args.input)
-    if args.mode == "exact":
-        if points.dim == 1:
-            value = star_discrepancy_1d(points)
-        else:
-            value = star_discrepancy_exact(points, budget=args.budget)
-    else:
-        value = prefix_reduction_bound(points, budget=args.budget)
+    oracle = star_discrepancy_exact if args.mode == "exact" else prefix_reduction_bound
+    value = oracle(points, budget=args.budget)
     # str(int) refuses more than 4,300 digits; str(Decimal(int)) prints any
     num, den = (str(Decimal(n)) for n in value.as_integer_ratio())
     exact = num if den == "1" else f"{num}/{den}"

@@ -123,6 +123,20 @@ def _rescaled_columns(points: PointSetD):
     return denoms, numerators, cands
 
 
+def _corner_grid(points: PointSetD, budget: int | None, readouts: int):
+    """_rescaled_columns of points once the oracle's limits hold: dimension
+    <= 4, and the grid's cells times readouts within budget (by default
+    oracle_budget())."""
+    if points.dim > 4:
+        raise ValueError("exact oracle supports dimension <= 4")
+    budget = oracle_budget() if budget is None else budget
+    columns = _rescaled_columns(points)
+    cells = prod(len(c) for c in columns[2])
+    if readouts * cells > budget:
+        raise BudgetExceededError(f"{cells} cells x {readouts} readouts exceed budget {budget}")
+    return columns
+
+
 def star_discrepancy_1d(points: PointSetD) -> Fraction:
     """Sorted-order formula for one-dimensional exact star discrepancy."""
     if points.dim != 1:
@@ -137,19 +151,7 @@ def star_discrepancy_1d(points: PointSetD) -> Fraction:
 
 def star_discrepancy_exact(points: PointSetD, budget: int | None = None) -> Fraction:
     """Exact D* over the critical-corner grid; exact rational result."""
-    if points.dim > 4:
-        raise ValueError("exact oracle supports dimension <= 4")
-    if budget is None:
-        budget = oracle_budget()
-    denoms, numerators, cands = _rescaled_columns(points)
-    cells = 1
-    for c in cands:
-        cells *= len(c)
-    if cells > budget:
-        raise BudgetExceededError(
-            f"corner grid of {cells} cells exceeds budget {budget}; "
-            "use the 1-D sorted formula or the certificate bound mode"
-        )
+    denoms, numerators, cands = _corner_grid(points, budget, 1)
     m1, m2 = _grid_extremes(points.n, denoms, numerators, cands)
     return Fraction(max(m1, m2, 0), points.n * prod(denoms))
 
@@ -236,13 +238,7 @@ def prefix_discrepancies(points: PointSetD, budget: int | None = None) -> list:
     """[c * D* of the first c points for c = 1..N], exact rationals, from one
     index-order sweep over the corner grid of the whole set, whose extra
     corners cannot raise D*; the budget counts cells times N readouts."""
-    if points.dim > 4:
-        raise ValueError("exact oracle supports dimension <= 4")
-    budget = oracle_budget() if budget is None else budget
-    denoms, numerators, cands = _rescaled_columns(points)
-    cells = prod(len(c) for c in cands)
-    if points.n * cells > budget:
-        raise BudgetExceededError(f"{points.n} prefixes x {cells} cells exceed budget {budget}")
+    denoms, numerators, cands = _corner_grid(points, budget, points.n)
     big_q = prod(denoms)
     dtype = _lane_type(points.n, big_q)
     vol = functools.reduce(_np.multiply.outer, (_np.array(c, dtype=dtype) for c in cands))

@@ -120,47 +120,26 @@ def plattice_point_laurent(n: int, cfg: LatticeConfig) -> tuple:
     return next(_laurent_points((n,), cfg))
 
 
-@dataclass(frozen=True)
-class GeneratingMatrix:
-    """m x m Hankel matrix of Laurent coefficients mapping digit vectors."""
-
-    p: int
-    rows: tuple
-
-    def __post_init__(self):
-        m = len(self.rows)
-        for r in range(1, m):
-            for c in range(m - 1):
-                if self.rows[r][c] != self.rows[r - 1][c + 1]:
-                    raise ValueError("rows do not have Hankel structure")
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-
-def build_generating_matrix(q_i: Poly, pX: Poly) -> GeneratingMatrix:
-    """Hankel matrix from the (2m-1)-prefix of {q_i/pX}."""
+def build_generating_matrix(q_i: Poly, pX: Poly) -> tuple:
+    """Rows of the m x m Hankel matrix from the (2m-1)-prefix of {q_i/pX}."""
     if not q_i.degree < pX.degree:
         raise ValueError("generator degree must be below modulus degree")
     m = pX.degree
-    digits = laurent_coeffs(q_i, pX, 2 * m - 1)
-    return GeneratingMatrix(q_i.p, digit_matrix(digits, Poly.one(q_i.p), m, m))
+    return digit_matrix(laurent_coeffs(q_i, pX, 2 * m - 1), Poly.one(q_i.p), m, m)
 
 
-def plattice_point_matrix(n: int, matrices) -> tuple:
-    """Lattice point by multiplying the digit vector of n with each matrix."""
+def plattice_point_matrix(n: int, matrices, p: int) -> tuple:
+    """Lattice point by multiplying the digit vector of n with each matrix's rows."""
     matrices = tuple(matrices)
     if not matrices:
         raise ValueError("no generating matrices")
-    p = matrices[0].p
-    m = matrices[0].m
+    m = len(matrices[0])
     if not 0 <= n < p**m:
         raise ValueError(f"index {n} outside [0, {p}^{m})")
     ndigits = poly_from_int(n, p).coeffs  # least significant first; missing ones are 0
     coords = []
-    for mat in matrices:
-        digits = (sum(rc * nc for rc, nc in zip(row, ndigits)) % p for row in mat.rows)
+    for rows in matrices:
+        digits = (sum(rc * nc for rc, nc in zip(row, ndigits)) % p for row in rows)
         coords.append(BasePRational(p, _digits_to_int(digits, p), m))
     return tuple(coords)
 
@@ -242,14 +221,18 @@ def _check_sublattice(spec: SubLatticeSpec, cfg: LatticeConfig):
         raise ValueError("modulus shares factor with pX")
 
 
-def index_walk(columns, shift, count: int, p: int):
-    """Yield shift + sum_c n_c * columns[c] over GF(p) for n = 0..count - 1, n_c the
-    base-p digits of n.  From n - 1 to n, digits 0..k of n, k = v_p(n), each gain 1,
-    so the vector gains the step columns[0] + ... + columns[k]: one add per index."""
+def index_walk(columns, shift, count: int, p: int, start: int = 0):
+    """Yield shift + sum_c n_c * columns[c] over GF(p) for n = start..start + count - 1,
+    n_c the base-p digits of n (columns cover them).  From n - 1 to n, digits 0..k of n,
+    k = v_p(n), each gain 1, so the vector gains the step columns[0] + ... + columns[k]:
+    one add per index after the first."""
     steps = list(itertools.accumulate(columns, lambda w, c: [(a + b) % p for a, b in zip(w, c)]))
-    vector = list(shift)
-    for n in range(count):
-        if n:
+    vector, rest = list(shift), start
+    for column in columns if start else ():
+        rest, digit = divmod(rest, p)
+        vector = [(a + digit * b) % p for a, b in zip(vector, column)]
+    for n in range(start, start + count):
+        if n != start:
             k, rest = 0, n
             while rest % p == 0:
                 k, rest = k + 1, rest // p

@@ -32,7 +32,7 @@ from .gfpoly import (
 )
 from .plattice import LatticeConfig, _irreducible_modulus, coprime_to_irreducible, korobov_qvec
 from .seqgen import HaltonConfig, hybrid_point_set
-from .walsh import _batch_bounds, _modulus_bound, walsh_weight_total
+from .walsh import _batch_bounds, _combined_numerator, _modulus_bound, walsh_weight_total
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -225,15 +225,11 @@ def dual_solution_counts(
         raise ValueError("frequency tuple length must equal t")
     p, m = pX.p, pX.degree
     d = _digit_freedom(modulus_b, pX, u)
-    kpolys = [poly_from_int(k, p) for k in kvec]
     if mode not in ("general", "korobov"):
         raise ValueError(f"unknown mode {mode!r}")
     kernel = low = 0
     for qvec in _candidates("exhaustive" if mode == "general" else mode, t, pX):
-        acc = Poly.zero(p)
-        for kp, q in zip(kpolys, qvec):
-            acc = acc + kp * q
-        acc = acc % pX
+        acc = _combined_numerator(pX, kvec, qvec)
         if acc.is_zero:
             kernel += 1
             continue

@@ -245,11 +245,13 @@ def hybrid_point_set(m: int, cfg: HaltonConfig, lattice: LatticeConfig) -> list:
     return list(digital_points(lattice.n_points, cfg, lattice))
 
 
-def digital_points(count: int, halton: HaltonConfig | None, lattice: LatticeConfig | None):
-    """Yield the points n = 0..count - 1 in index order: halton_point(n),
+def digital_points(
+    count: int, halton: HaltonConfig | None, lattice: LatticeConfig | None, start: int = 0
+):
+    """Yield the points n = start..start + count - 1 in index order: halton_point(n),
     plattice_point_laurent(n), or hybrid_point(n, lattice.m) if both parts
     are given.  Every coordinate is GF(p)-linear in the M base-p digits of
-    n (M those of count - 1): column c is column c of a generating matrix,
+    n (M those of the last n): column c is column c of a generating matrix,
     or the base-b digit blocks of X^c before sigma (Tezuka 1993), and
     index_walk steps the digit vector with one GF(p) vector add per point.
     State: O(M * dim) digits."""
@@ -258,7 +260,11 @@ def digital_points(count: int, halton: HaltonConfig | None, lattice: LatticeConf
         raise ValueError("prime mismatch between Halton and lattice parts")
     if lattice and not 1 <= count <= lattice.n_points:
         raise ValueError(f"count outside [1, {lattice.n_points}]")
-    M = len(poly_from_int(max(count - 1, 0), p).coeffs)
+    if start < 0:
+        raise ValueError("index must be >= 0")
+    if lattice and start + count > lattice.n_points:
+        raise ValueError(f"index {start + count - 1} outside [0, {p}^{lattice.m})")
+    M = len(poly_from_int(max(start + count - 1, 0), p).coeffs)
     columns = [[] for _ in range(M)]  # column c: the digit vector of n = p^c
     readouts, size = [], 0  # (first digit, digits per block, table, fixed block count)
     for b, sigma in zip(halton.bases, halton.sigmas) if halton else ():
@@ -273,16 +279,16 @@ def digital_points(count: int, halton: HaltonConfig | None, lattice: LatticeConf
     for q in lattice.generators if lattice else ():
         readouts.append((size, lattice.m, range(p**lattice.m), 1))
         size += lattice.m
-        for column, image in zip(columns, zip(*build_generating_matrix(q, lattice.modulus).rows)):
+        for column, image in zip(columns, zip(*build_generating_matrix(q, lattice.modulus))):
             column.extend(image)
     deg, power = -1, 1  # deg n(X) = -1 at n = 0: every Halton L is 0
-    for n, digits in enumerate(index_walk(columns, [0] * size, count, p)):
-        if n == power:
+    for n, digits in enumerate(index_walk(columns, [0] * size, count, p, start), start):
+        while n >= power:  # at the first n, rises to deg start(X) at once
             deg, power = deg + 1, power * p
         point = [BasePRational(p, n, lattice.m)] if halton and lattice else []
-        for start, e, table, fixed in readouts:
+        for first, e, table, fixed in readouts:
             num, blocks = 0, fixed or deg // e + 1
-            for j in range(start, start + blocks * e, e):
+            for j in range(first, first + blocks * e, e):
                 num = num * p**e + table[_digits_to_int(digits[j : j + e], p)]
             point.append(BasePRational(p, num, blocks * e))
         yield tuple(point)

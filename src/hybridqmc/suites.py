@@ -42,7 +42,7 @@ from .seqgen import (
     HaltonConfig,
     SigmaBijection,
     box_to_residue_classes,
-    halton_point,
+    digital_points,
     hybrid_point_set,
     residue_classes_measure,
 )
@@ -110,7 +110,7 @@ def suite_boxdecomp():
         ),
     )
     for label, cfg, n_limit in variants:
-        points = [halton_point(n, cfg) for n in range(n_limit)]
+        points = list(digital_points(n_limit, cfg, None))
         for levels in itertools.product(range(3), repeat=cfg.s):
             caps = [cfg.p ** (e * l) for e, l in zip(cfg.degrees, levels)]
             for numerators in itertools.product(*(range(1, c + 1) for c in caps)):

@@ -156,9 +156,10 @@ def dual_test_matrix(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> bool:
     return all(sum(row[c] * kj for row, kj in terms) % p == 0 for c in range(d))
 
 
-def _combined_numerator(cfg: LatticeConfig, kvec) -> Poly:
-    terms = (poly_from_int(k, cfg.p) * q for k, q in zip(kvec, cfg.generators))
-    return sum(terms, Poly.zero(cfg.p)) % cfg.modulus
+def _combined_numerator(pX: Poly, kvec, qvec) -> Poly:
+    """(sum_i k_i*q_i) mod pX, k_i the polynomial of its base-p digits."""
+    terms = (poly_from_int(k, pX.p) * q for k, q in zip(kvec, qvec))
+    return sum(terms, Poly.zero(pX.p)) % pX
 
 
 @functools.lru_cache(maxsize=512)
@@ -167,14 +168,14 @@ def _combined_residues(cfg: LatticeConfig) -> tuple:
     the frequency side of the dual weight sum, kept as a desk-scale
     reference for _modulus_bound."""
     kvecs = itertools.product(range(cfg.p**cfg.m), repeat=cfg.t)
-    return tuple((kvec, _combined_numerator(cfg, kvec)) for kvec in kvecs if any(kvec))
+    return tuple((k, _combined_numerator(cfg.modulus, k, cfg.generators)) for k in kvecs if any(k))
 
 
 def dual_test_valuation(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> bool:
     """True when the fractional part of (sum_i k_i*q_i)*B / pX sinks below
     X^-d, i.e. its valuation is < -d."""
     kvec = _frequencies(cfg, kvec)
-    f = (_combined_numerator(cfg, kvec) * spec.cls.modulus) % cfg.modulus
+    f = (_combined_numerator(cfg.modulus, kvec, cfg.generators) * spec.cls.modulus) % cfg.modulus
     return valuation(f, cfg.modulus) < -spec.d
 
 

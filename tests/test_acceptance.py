@@ -48,7 +48,7 @@ def test_criterion_01_construction_path_equivalence():
                 mats = [build_generating_matrix(q, pX) for q in cfg.generators]
                 for n in range(p**m):
                     assert plattice_point_laurent(n, cfg) == plattice_point_matrix(
-                        n, mats
+                        n, mats, p
                     ), (p, m, q_enc, n)
                     checks += 1
     _report(1, True, f"Laurent == matrix points ({checks} comparisons)", time.time() - start, 30)

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,9 +11,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridqmc.cli import main
-from hybridqmc.discrepancy import _rescaled_columns, load_point_set, star_discrepancy_exact
+from hybridqmc.discrepancy import (
+    PointSetD,
+    _rescaled_columns,
+    load_point_set,
+    star_discrepancy_1d,
+    star_discrepancy_exact,
+)
+from hybridqmc.gfpoly import poly_parse
+from hybridqmc.seqgen import HaltonConfig, halton_point
 
 
 def run(capsys, *argv):
@@ -608,3 +621,87 @@ def test_certificate_text_matches_search_per_level(capsys, search, generators):
     levels = _text_levels(text)
     assert len(levels) > report["m"] + 1
     assert levels == _json_levels(report["perLevel"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("disc", "certificate", "--p", "2", "--px", "X^3+X+1", "--q", "X", "--budget", "5"),
+        ("gen", "halton", "--p", "2", "--bases", "X", "--n", "1", "--count", "3"),
+        ("gen", "plattice", "--p", "2", "--px", "X^3+X+1", "--q", "X", "--count", "3", "--n", "1"),
+    ],
+)
+def test_flags_that_would_be_ignored_are_usage_errors(capsys, argv):
+    # certificates take no budget, and --n writes one point, so --count cannot apply
+    code, out, err = run(capsys, *argv)
+    flag = "--budget" if "--budget" in argv else "--count"
+    assert code == 1 and out == "" and flag in err
+
+
+_GEN_N_CASES = {  # p: (modulus, m)
+    2: ("X^3+X+1", 3),
+    3: ("X^2+1", 2),
+    5: ("X^2+2", 2),
+}
+_GEN_N_KINDS = {
+    "halton": ("--bases", "X,X+1"),
+    "plattice": ("--q", "X,X+1"),
+    "korobov": ("--g", "X+1", "--t", "2"),
+    "hybrid": ("--bases", "X+1", "--q", "X"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["rational", "decimal"])
+@pytest.mark.parametrize("p", sorted(_GEN_N_CASES))
+@pytest.mark.parametrize("kind", sorted(_GEN_N_KINDS))
+def test_gen_n_prints_the_line_of_the_count_file(capsys, kind, p, fmt):
+    px, m = _GEN_N_CASES[p]
+    argv = ["gen", kind, "--p", str(p), *_GEN_N_KINDS[kind], "--format", fmt]
+    if kind != "halton":
+        argv += ["--px", px]
+    code, out, _ = run(capsys, *argv, "--count", str(p**m))
+    body = [line + "\n" for line in out.splitlines() if not line.startswith("#")]
+    assert code == 0 and len(body) == p**m
+    for n in sorted({0, 1, p**m - 1, random.Random(p).randrange(p**m)}):
+        assert run(capsys, *argv, "--n", str(n)) == (0, body[n], "")
+
+
+def test_gen_n_far_into_the_halton_sequence(capsys):
+    cfg = HaltonConfig.make(2, (poly_parse("X", 2), poly_parse("X^2+X+1", 2)))
+    argv = ("gen", "halton", "--p", "2", "--bases", "X,X^2+X+1", "--n", "1000003")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == " ".join(c.token() for c in halton_point(1000003, cfg)) + "\n"
+
+
+@st.composite
+def _one_d_files(draw):
+    """(file text, coordinates): a 1-D point file with repeated values, in
+    the rational or the decimal format."""
+    if draw(st.booleans(), label="decimal"):
+        digits = draw(st.integers(1, 4), label="digits")
+        pool = draw(st.lists(st.integers(0, 10**digits - 1), min_size=1, max_size=6), label="pool")
+        nums = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12), label="values")
+        return "".join(f"0.{v:0{digits}d}\n" for v in nums), [Fraction(v, 10**digits) for v in nums]
+    fraction = st.integers(1, 12).flatmap(lambda d: st.tuples(st.integers(0, d - 1), st.just(d)))
+    pool = draw(st.lists(fraction, min_size=1, max_size=6), label="pool")
+    pairs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12), label="values")
+    return "".join(f"{a}/{d}\n" for a, d in pairs), [Fraction(a, d) for a, d in pairs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_one_d_files())
+def test_disc_exact_on_a_1d_file_is_the_sorted_formula(tmp_path_factory, case):
+    # the CLI runs the corner-grid sweep at every dimension: on 1-D files it
+    # prints the sorted-order formula's value, within a budget of the distinct
+    # values plus 1 cells, and stops with exit 3 below it
+    text, values = case
+    path = tmp_path_factory.mktemp("one-d") / "pts.txt"
+    path.write_text(text)
+    value = star_discrepancy_1d(PointSetD([(v,) for v in values]))
+    exact = str(value.numerator) if value.denominator == 1 else str(value)
+    cells = len(set(values)) + 1
+    for budget, want in ((cells, (0, f"{exact} (= {float(value):.12g})\n")), (cells - 1, (3, ""))):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["disc", "exact", "--input", str(path), "--budget", str(budget)])
+        assert (code, out.getvalue()) == want

@@ -22,7 +22,6 @@ from hybridqmc.gfpoly import (
 )
 from hybridqmc import plattice
 from hybridqmc.plattice import (
-    GeneratingMatrix,
     LatticeConfig,
     SubLatticeSpec,
     _laurent_points,
@@ -82,21 +81,19 @@ def test_point_laurent_examples():
 
 
 def test_generating_matrix_examples():
-    assert build_generating_matrix(Poly.x(2), PX2).rows == ((1, 1), (1, 0))
-    assert build_generating_matrix(Poly.one(2), PX2).rows == ((0, 1), (1, 1))
+    assert build_generating_matrix(Poly.x(2), PX2) == ((1, 1), (1, 0))
+    assert build_generating_matrix(Poly.one(2), PX2) == ((0, 1), (1, 1))
     m3 = build_generating_matrix(Poly.one(2), P("X^3+X+1"))
     # rows come from the prefix (a_1..a_5) of 1/(X^3+X+1) = (0,0,1,0,1,...)
-    assert m3.rows == ((0, 0, 1), (0, 1, 0), (1, 0, 1))
-    with pytest.raises(ValueError):
-        GeneratingMatrix(2, ((1, 0), (1, 1)))  # not Hankel
+    assert m3 == ((0, 0, 1), (0, 1, 0), (1, 0, 1))
 
 
 def test_point_matrix_examples():
     cfg = LatticeConfig(2, PX2, (Poly.x(2),))
     mats = [build_generating_matrix(q, PX2) for q in cfg.generators]
-    assert Fraction(plattice_point_matrix(1, mats)[0]) == Fraction(3, 4)
-    assert Fraction(plattice_point_matrix(0, mats)[0]) == 0
-    assert Fraction(plattice_point_matrix(3, mats)[0]) == Fraction(1, 4)
+    assert Fraction(plattice_point_matrix(1, mats, 2)[0]) == Fraction(3, 4)
+    assert Fraction(plattice_point_matrix(0, mats, 2)[0]) == 0
+    assert Fraction(plattice_point_matrix(3, mats, 2)[0]) == Fraction(1, 4)
 
 
 def test_path_equivalence_small():
@@ -107,7 +104,7 @@ def test_path_equivalence_small():
                 cfg = LatticeConfig(p, pX, (poly_from_int(q_enc, p),))
                 mats = [build_generating_matrix(q, pX) for q in cfg.generators]
                 for n in range(p**m):
-                    assert plattice_point_laurent(n, cfg) == plattice_point_matrix(n, mats)
+                    assert plattice_point_laurent(n, cfg) == plattice_point_matrix(n, mats, p)
 
 
 def test_digit_vector_linearity():
@@ -209,22 +206,24 @@ def _walks(draw):
     d, length = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     vector = st.lists(st.integers(0, p - 1), min_size=length, max_size=length)
     columns = draw(st.lists(vector, min_size=d, max_size=d))
-    return p, columns, draw(vector), draw(st.integers(0, p**d))
+    count = draw(st.integers(0, p**d))
+    return p, columns, draw(vector), count, draw(st.integers(0, p**d - count))
 
 
 @settings(max_examples=200, deadline=None)
-@example((2, [], [1, 0], 1))  # d = 0: the shift alone
-@example((3, [[1, 2], [0, 1]], [2, 2], 7))  # a count that is no power of p
-@example((5, [[4], [3], [2]], [1], 125))
+@example((2, [], [1, 0], 1, 0))  # d = 0: the shift alone
+@example((3, [[1, 2], [0, 1]], [2, 2], 7, 0))  # a count that is no power of p
+@example((5, [[4], [3], [2]], [1], 125, 0))
+@example((3, [[1, 2], [0, 1], [2, 2]], [0, 1], 4, 19))  # a start of digits 1, 0, 2
 @given(_walks())
 def test_index_walk_is_the_affine_digit_map(case):
     # the one enumerator of digital_points, sublattice_indices and
     # sublattice_affine: vector n is shift + sum_c n_c * columns[c] mod p,
-    # n_c the base-p digits of n
-    p, columns, shift, count = case
-    walk = [list(v) for v in index_walk(columns, shift, count, p)]
+    # n_c the base-p digits of n, for n from start on
+    p, columns, shift, count, start = case
+    walk = [list(v) for v in index_walk(columns, shift, count, p, start)]
     assert len(walk) == count
-    for n, got in enumerate(walk):
+    for n, got in enumerate(walk, start):
         digits = [n // p**c % p for c in range(len(columns))]
         want = [
             (s + sum(nc * col[j] for nc, col in zip(digits, columns))) % p
@@ -365,7 +364,7 @@ def test_point_laurent_matches_the_matrix_route(data):
     cfg = LatticeConfig(p, pX, tuple(poly_from_int(q, p) for q in qvec))
     mats = [build_generating_matrix(q, pX) for q in cfg.generators]
     n = data.draw(st.integers(0, p**m - 1), label="n")
-    assert plattice_point_laurent(n, cfg) == plattice_point_matrix(n, mats)
+    assert plattice_point_laurent(n, cfg) == plattice_point_matrix(n, mats, p)
 
 
 def test_sublattice_enumerate_uses_nothing_from_the_affine_route(monkeypatch):

@@ -430,6 +430,31 @@ def test_digital_points_match_the_per_point_functions(config):
         ]
 
 
+@settings(max_examples=200, deadline=None)
+@given(config=_digital_configs(), data=st.data())
+def test_digital_points_from_a_start_match_the_per_point_functions(config, data):
+    # the walk from a start index, against the per-point functions: a file
+    # token reads the numerator and L, not only the Fraction
+    count, halton, lattice, point = config
+    last = lattice.n_points - count if lattice else 2 * halton.p**12
+    start = data.draw(st.integers(0, last), label="start")
+    rows = list(digital_points(count, halton, lattice, start))
+    expected = [point(n) for n in range(start, start + count)]
+    assert [[(c.token(), c.num, c.L) for c in row] for row in rows] == [
+        [(c.token(), c.num, c.L) for c in row] for row in expected
+    ]
+
+
+def test_digital_points_reject_a_start_outside_the_indices():
+    halton = HaltonConfig.make(2, (Poly.x(2),))
+    lattice = LatticeConfig(2, P("X^2+X+1"), (Poly.x(2),))
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        next(digital_points(1, halton, None, -1))
+    with pytest.raises(ValueError, match=r"index 4 outside \[0, 2\^2\)"):
+        next(digital_points(2, None, lattice, 3))
+    assert next(digital_points(1, halton, lattice, 3)) == hybrid_point(3, 2, halton, lattice)
+
+
 def test_digital_points_are_lazy():
     # the first points of a 2^20-point hybrid set, in O(digits * dim) memory
     m = 20

@@ -43,7 +43,9 @@ def _references(tree, skip=None, strings=False, names=True, classes=None) -> set
     return found
 
 
-def _unreached() -> list:
+def _unreached(strings=True) -> list:
+    """The labels of the definitions nothing in src/ or bench/ reaches; with
+    strings false, a tracer's name string in bench/ reaches nothing."""
     trees = {path.name: ast.parse(path.read_text(), path.name) for path in MODULES}
     benches = [ast.parse(path.read_text(), path.name) for path in BENCH]
     classes = {}
@@ -54,7 +56,10 @@ def _unreached() -> list:
                 classes.setdefault(owner, set()).add(member)
     bench = {
         names: set().union(
-            *(_references(other, strings=True, names=names, classes=classes) for other in benches)
+            *(
+                _references(other, strings=strings, names=names, classes=classes)
+                for other in benches
+            )
         )
         for names in (True, False)
     }
@@ -110,3 +115,19 @@ def test_methods_and_properties_are_scanned():
 
 def test_every_top_level_definition_is_reached():
     assert _unreached() == []
+
+
+def test_the_reference_debt_is_the_listed_move_list():
+    # the functions that only a tracer's name string keeps in src/: each is a
+    # reference that tests compare the bulk routes against, to move into
+    # tests/ once the tracer stops naming it; a new member, or a member that
+    # gains a caller, fails here (methods are left out: _Parser.error, say,
+    # is called by argparse)
+    functions = {label for label in _unreached(strings=False) if "." not in label.split(":")[1]}
+    assert functions == {
+        "discrepancy.py:star_discrepancy_1d",
+        "discrepancy.py:save_point_set",
+        "plattice.py:plattice_point_matrix",
+        "search.py:negative_control_report",
+        "seqgen.py:hybrid_point",
+    }

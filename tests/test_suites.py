@@ -20,8 +20,11 @@ def _raise_kernel(*args):
     raise ArithmeticError("kernel count exceeds t")
 
 
-def _halton_reversed_at_3(orig):
-    return lambda n, cfg: orig(n, cfg)[::-1] if n == 3 else orig(n, cfg)
+def _point_3_reversed(orig):
+    def points(count, halton, lattice):
+        return (pt[::-1] if n == 3 else pt for n, pt in enumerate(orig(count, halton, lattice)))
+
+    return points
 
 
 def _extra_class(orig):
@@ -68,7 +71,7 @@ CASES = {
     ),
     "boxdecomp-membership": (
         "boxdecomp",
-        {"halton_point": _halton_reversed_at_3},
+        {"digital_points": _point_3_reversed},
         (False, 259, "default sigma", "membership mismatch at n=3 levels=(0, 1) v=(1, 1)"),
     ),
     "walshbound-exceeded": (
