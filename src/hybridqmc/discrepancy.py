@@ -495,6 +495,8 @@ def load_point_set(path):
             if line.startswith("#"):
                 key, eq, val = (part.strip() for part in line[1:].partition("="))
                 if eq:
+                    if key in meta:
+                        raise ParseError(f"repeated header {key}", line.index(key))
                     at[key] = line.index("=") + 1
                     meta[key] = _parse_header_value(key, val, line)
                 continue

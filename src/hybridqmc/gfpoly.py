@@ -11,9 +11,8 @@ each step cancels, and reduces the remainder once at the end.
 
 This module also holds the two small value types shared by the point
 constructions: BasePRational, an exact coordinate a/p^L in [0,1) that is
-a Fraction keeping p and its digit count L, so every layer from point
-generation to the discrepancy oracle reads the one number type; and
-ResidueClass, a congruence constraint modulo a monic polynomial.
+a Fraction keeping p and its digit count L; and ResidueClass, a
+congruence constraint modulo a monic polynomial.
 """
 
 from __future__ import annotations
@@ -482,14 +481,6 @@ class BasePRational(Fraction):
         self = super().__new__(cls, num, p**exponent)
         self.p, self.num, self.L = p, num, exponent
         return self
-
-    def digit(self, j: int) -> int:
-        """The j-th digit after the radix point (1-based); 0 beyond L."""
-        if j < 1:
-            raise ValueError("digit index is 1-based")
-        if j > self.L:
-            return 0
-        return (self.num // self.p ** (self.L - j)) % self.p
 
     def token(self) -> str:
         """File token: numerator slash the evaluated denominator p^L."""

@@ -5,13 +5,14 @@ and t nonzero generators of degree < m.  The n-th point has component i
 equal to the first m Laurent coefficients of {n(X)*q_i(X)/pX}, read as
 base-p digits.  The same points arise from Hankel generating matrices
 acting on the digit vector of n.  Both routes are kept independent: the
-division kernel _laurent_points divides X^m*n*q_i by pX on integer lists,
-and the affine sub-lattice route (sublattice_matrices) does not share it.
+division kernel _laurent_points divides X^m*n*q_i by pX on one integer
+list, and the affine sub-lattice route (sublattice_matrices) does not share it.
 
 A SubLatticeSpec selects the lattice points whose indices lie in an
 aligned block of p^u consecutive integers and in a residue class
 (B(X), R(X)) coprime to the modulus; those p^(u - deg B) points also
 carry an affine digit-map description (matrix columns plus a shift).
+Both routes yield numerator rows: coordinate i is row[i]/p^m.
 """
 
 from __future__ import annotations
@@ -94,30 +95,37 @@ def _digits_to_int(digits, base: int) -> int:
 
 
 def _laurent_points(indices, cfg: LatticeConfig):
-    """Yield the points of the indices: a_1..a_m of {n*q_i/pX} are the low m
-    quotient digits of X^m*n*q_i by pX, a_1 highest, from one long division."""
-    p, m, pX = cfg.p, cfg.m, cfg.modulus.coeffs
+    """Yield the indices' numerator rows: row[i] = sum_(k<m) Q_k p^k, Q the quotient of
+    X^m*A by pX, A = n*q_i, read top down: Q_k = A_k - sum_(j<m) c_j Q_(k+m-j) mod p."""
+    p, m = cfg.p, cfg.m
+    taps = [(m - j, c) for j, c in enumerate(cfg.modulus.coeffs[:-1]) if c]
     for n in indices:
-        digits = []  # of n, least significant first
+        digits = []
         while n:
             n, r = divmod(n, p)
             digits.append(r)
-        point = []
+        row = []
         for q in cfg.generators:
-            product = [0] * (m + len(digits) + len(q.coeffs) - 1)
+            top = len(digits) + len(q.coeffs) - 1
+            quotient = [0] * (top + m)
             for i, a in enumerate(digits):
-                for j, b in enumerate(q.coeffs):
-                    product[m + i + j] += a * b
-            quotient = _long_division(product, pX, p, True)[0]
-            point.append(BasePRational(p, _digits_to_int(reversed(quotient[:m]), p), m))
-        yield tuple(point)
+                if a:
+                    for j, b in enumerate(q.coeffs, i):
+                        quotient[j] += a * b
+            for k in range(top - 1, -1, -1):
+                x = quotient[k]
+                for s, c in taps:
+                    x -= c * quotient[k + s]
+                quotient[k] = x % p
+            row.append(_digits_to_int(reversed(quotient[:m]), p))
+        yield tuple(row)
 
 
 def plattice_point_laurent(n: int, cfg: LatticeConfig) -> tuple:
     """The n-th lattice point via truncated Laurent expansion of {n*q_i/pX}."""
     if not 0 <= n < cfg.n_points:
         raise ValueError(f"index {n} outside [0, {cfg.p}^{cfg.m})")
-    return next(_laurent_points((n,), cfg))
+    return tuple(BasePRational(cfg.p, num, cfg.m) for num in next(_laurent_points((n,), cfg)))
 
 
 def build_generating_matrix(q_i: Poly, pX: Poly) -> tuple:
@@ -256,7 +264,7 @@ def sublattice_indices(spec: SubLatticeSpec, cfg: LatticeConfig) -> list:
 
 
 def sublattice_enumerate(spec: SubLatticeSpec, cfg: LatticeConfig) -> list:
-    """The p^d sub-lattice points, by direct enumeration in ascending n."""
+    """The p^d sub-lattice points' rows, by direct enumeration in ascending n."""
     return list(_laurent_points(sublattice_indices(spec, cfg), cfg))
 
 
@@ -300,13 +308,10 @@ def sublattice_matrices(spec: SubLatticeSpec, cfg: LatticeConfig):
 
 
 def sublattice_affine(spec: SubLatticeSpec, cfg: LatticeConfig):
-    """(matrices, shifts, points): the affine images shift + matrix * l over
-    l = 0..p^d-1, l's base-p digits as the vector, least significant first."""
+    """(matrices, shifts, rows): the affine images shift + matrix * l over
+    l = 0..p^d-1 (l's base-p digits, least significant first) as numerator rows."""
     matrices, shifts = sublattice_matrices(spec, cfg)
-    p, m, count = cfg.p, cfg.m, cfg.p**spec.d
+    p, count = cfg.p, cfg.p**spec.d
     walks = [index_walk(list(zip(*mat)), shift, count, p) for mat, shift in zip(matrices, shifts)]
-    points = [
-        tuple(BasePRational(p, _digits_to_int(x, p), m) for x in images)
-        for images in zip(*walks)
-    ]
-    return matrices, shifts, points
+    rows = [tuple(_digits_to_int(x, p) for x in images) for images in zip(*walks)]
+    return matrices, shifts, rows

@@ -228,8 +228,9 @@ def dual_solution_counts(
     if mode not in ("general", "korobov"):
         raise ValueError(f"unknown mode {mode!r}")
     kernel = low = 0
+    kpolys = [poly_from_int(k, p) for k in kvec]
     for qvec in _candidates("exhaustive" if mode == "general" else mode, t, pX):
-        acc = _combined_numerator(pX, kvec, qvec)
+        acc = _combined_numerator(pX, kpolys, qvec)
         if acc.is_zero:
             kernel += 1
             continue

@@ -153,7 +153,8 @@ def suite_walshbound():
                         residue = poly_from_int(r_enc, p)
                         spec = SubLatticeSpec(m, 0, ResidueClass(modulus, residue))
                         bound = walsh_discrepancy_bound(spec, cfg)
-                        pts = PointSetD(sublattice_enumerate(spec, cfg))
+                        rows = sublattice_enumerate(spec, cfg)
+                        pts = PointSetD([[Fraction(x, p**m) for x in row] for row in rows])
                         exact = pts.n * star_discrepancy_exact(pts)
                         if exact > bound:
                             raise _Counterexample(
@@ -274,11 +275,7 @@ def suite_sublattice():
             raise _Counterexample(
                 "cardinality", f"|points|={len(enumerated)} != p^{spec.d} at {spec}"
             )
-        _, _, affine = sublattice_affine(spec, cfg)
-        # both routes build m-digit coordinates, so sorted numerator rows compare
-        # the two multisets without hashing a Fraction
-        rows = [sorted([x.num for x in point] for point in pts) for pts in (enumerated, affine)]
-        if rows[0] != rows[1]:
+        if sorted(enumerated) != sorted(sublattice_affine(spec, cfg)[2]):
             raise _Counterexample("affine agreement", f"mismatch at p={p} m={m} spec={spec}")
         yield
     return "500 random specs, p in {2,3}, m<=5"

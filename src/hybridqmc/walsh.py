@@ -28,7 +28,6 @@ import struct
 from fractions import Fraction
 
 from .gfpoly import (
-    BasePRational,
     Poly,
     laurent_coeffs,
     poly_from_int,
@@ -47,26 +46,21 @@ from .plattice import (
 )
 
 
-def walsh_exponent(k: int, x: BasePRational) -> int:
-    """e(walsh_exponent/p) is the k-th Walsh character at x: the exponent is
-    the digit dot product sum_j k_j * x_{j+1} mod p."""
+def walsh_exponent(k: int, num: int, p: int, L: int) -> int:
+    """e(walsh_exponent/p) is the k-th Walsh character at num/p^L: the exponent
+    is the digit dot product sum_j k_j * x_j mod p."""
     if k < 0:
         raise ValueError("frequency must be >= 0")
-    p = x.p
     total = 0
-    j = 1
-    while k:
+    for j in range(1, L + 1):
         k, kj = divmod(k, p)
-        if kj:
-            total += kj * x.digit(j)
-        j += 1
+        total += kj * (num // p ** (L - j) % p)
     return total % p
 
 
-def walsh_exponent_vec(kvec, point) -> int:
-    """Exponent of the product character over a coordinate tuple."""
-    p = point[0].p
-    return sum(walsh_exponent(k, x) for k, x in zip(kvec, point)) % p
+def walsh_exponent_vec(kvec, row, p: int, L: int) -> int:
+    """Exponent of the product character at the point row/p^L."""
+    return sum(walsh_exponent(k, num, p, L) for k, num in zip(kvec, row)) % p
 
 
 def walsh_weight(k: int, p: int) -> tuple:
@@ -126,8 +120,8 @@ def character_sum(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> tuple:
     exponent is a, for a = 0..p-1: the complex sum is sum_a counts[a] * e(a/p)."""
     kvec = _frequencies(cfg, kvec)
     counts = [0] * cfg.p
-    for pt in sublattice_enumerate(spec, cfg):
-        counts[walsh_exponent_vec(kvec, pt)] += 1
+    for row in sublattice_enumerate(spec, cfg):
+        counts[walsh_exponent_vec(kvec, row, cfg.p, cfg.m)] += 1
     return tuple(counts)
 
 
@@ -156,9 +150,9 @@ def dual_test_matrix(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> bool:
     return all(sum(row[c] * kj for row, kj in terms) % p == 0 for c in range(d))
 
 
-def _combined_numerator(pX: Poly, kvec, qvec) -> Poly:
-    """(sum_i k_i*q_i) mod pX, k_i the polynomial of its base-p digits."""
-    terms = (poly_from_int(k, pX.p) * q for k, q in zip(kvec, qvec))
+def _combined_numerator(pX: Poly, kpolys, qvec) -> Poly:
+    """(sum_i k_i*q_i) mod pX for the frequency polynomials k_i."""
+    terms = (k * q for k, q in zip(kpolys, qvec))
     return sum(terms, Poly.zero(pX.p)) % pX
 
 
@@ -167,16 +161,18 @@ def _combined_residues(cfg: LatticeConfig) -> tuple:
     """(kvec, (sum_i k_i*q_i) mod pX) for every nonzero frequency tuple:
     the frequency side of the dual weight sum, kept as a desk-scale
     reference for _modulus_bound."""
-    kvecs = itertools.product(range(cfg.p**cfg.m), repeat=cfg.t)
-    return tuple((k, _combined_numerator(cfg.modulus, k, cfg.generators)) for k in kvecs if any(k))
+    pX, qvec, n = cfg.modulus, cfg.generators, cfg.n_points
+    kpolys = [poly_from_int(k, cfg.p) for k in range(n)]
+    kvecs = itertools.product(range(n), repeat=cfg.t)
+    return tuple((k, _combined_numerator(pX, [kpolys[x] for x in k], qvec)) for k in kvecs if any(k))
 
 
 def dual_test_valuation(spec: SubLatticeSpec, cfg: LatticeConfig, kvec) -> bool:
     """True when the fractional part of (sum_i k_i*q_i)*B / pX sinks below
     X^-d, i.e. its valuation is < -d."""
-    kvec = _frequencies(cfg, kvec)
-    f = (_combined_numerator(cfg.modulus, kvec, cfg.generators) * spec.cls.modulus) % cfg.modulus
-    return valuation(f, cfg.modulus) < -spec.d
+    pX, kpolys = cfg.modulus, [poly_from_int(k, cfg.p) for k in _frequencies(cfg, kvec)]
+    f = (_combined_numerator(pX, kpolys, cfg.generators) * spec.cls.modulus) % pX
+    return valuation(f, pX) < -spec.d
 
 
 def count_low_valuation(pX: Poly, u: int) -> int:

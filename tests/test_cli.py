@@ -200,6 +200,7 @@ def test_header_p_composite_is_a_parse_error(tmp_path, capsys):
         ("# count=0\n", "count=0"),
         ("# dim=0\n", "dim=0"),
         ("0/2 1/2\n# count=4\n", "count=4"),  # a header after rows
+        ("# count=1\n# count=2\n", "count"),  # a key given twice
     ],
 )
 def test_headers_that_disagree_with_the_rows_are_parse_errors(tmp_path, capsys, header, named):

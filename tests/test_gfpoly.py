@@ -27,6 +27,7 @@ from hybridqmc.gfpoly import (
     poly_to_int,
     valuation,
 )
+from base_p_digits import digits
 from poly_shift import shifted
 
 
@@ -354,7 +355,7 @@ def test_pow_mod():
 
 def test_base_p_rational_invariants():
     x = BasePRational(2, 13, 4)
-    assert tuple(x.digit(j) for j in range(1, 5)) == (1, 1, 0, 1)
+    assert (x.p, x.num, x.L) == (2, 13, 4) and digits(x.num, x.p, x.L) == (1, 1, 0, 1)
     assert x.token() == "13/16"
     assert x == BasePRational(2, 13, 4)
     assert BasePRational(2, 1, 1) == BasePRational(2, 2, 2)  # value equality

@@ -37,6 +37,7 @@ from hybridqmc.plattice import (
     sublattice_matrices,
 )
 from hybridqmc.walsh import walsh_discrepancy_bound
+from base_p_digits import digits
 from poly_shift import shifted
 
 
@@ -45,11 +46,6 @@ def P(text, p=2):
 
 
 PX2 = P("X^2+X+1")
-
-
-def _digits(x):
-    """The L base-p digits of a coordinate, most significant first."""
-    return tuple(x.digit(j) for j in range(1, x.L + 1))
 
 
 def test_lattice_config_hash_is_the_field_hash():
@@ -122,15 +118,15 @@ def test_digit_vector_linearity():
                 da = (a // p**i) % p
                 db = (b // p**i) % p
                 s += ((da + db) % p) * p**i
-            ya = _digits(plattice_point_laurent(a, cfg)[0])
-            yb = _digits(plattice_point_laurent(b, cfg)[0])
-            ys = _digits(plattice_point_laurent(s, cfg)[0])
+            ya = digits(plattice_point_laurent(a, cfg)[0].num, p, m)
+            yb = digits(plattice_point_laurent(b, cfg)[0].num, p, m)
+            ys = digits(plattice_point_laurent(s, cfg)[0].num, p, m)
             assert ys == tuple((x + y) % p for x, y in zip(ya, yb))
 
 
 def test_full_lattice_closed_under_digit_addition():
     cfg = LatticeConfig(2, PX2, (Poly.x(2),))
-    vecs = {_digits(plattice_point_laurent(n, cfg)[0]) for n in range(4)}
+    vecs = {digits(plattice_point_laurent(n, cfg)[0].num, 2, 2) for n in range(4)}
     for v1, v2 in itertools.product(vecs, repeat=2):
         assert tuple((a + b) % 2 for a, b in zip(v1, v2)) in vecs
 
@@ -156,16 +152,11 @@ def test_sublattice_examples():
     cfg = LatticeConfig(2, PX2, (Poly.x(2),))
     full = SubLatticeSpec(2, 0, ResidueClass(Poly.one(2), Poly.zero(2)))
     assert len(sublattice_enumerate(full, cfg)) == 4
+    # numerator rows over p^m = 4: the points 0 and 1/2, then 3/4 and 1/4
     even = SubLatticeSpec(2, 0, ResidueClass(Poly.x(2), Poly.zero(2)))
-    assert [Fraction(pt[0]) for pt in sublattice_enumerate(even, cfg)] == [
-        0,
-        Fraction(1, 2),
-    ]
+    assert sublattice_enumerate(even, cfg) == [(0,), (2,)]
     odd = SubLatticeSpec(2, 0, ResidueClass(Poly.x(2), Poly.one(2)))
-    assert [Fraction(pt[0]) for pt in sublattice_enumerate(odd, cfg)] == [
-        Fraction(3, 4),
-        Fraction(1, 4),
-    ]
+    assert sublattice_enumerate(odd, cfg) == [(3,), (1,)]
 
 
 def test_sublattice_rejects_shared_factor():
@@ -274,8 +265,8 @@ def test_sublattice_block_parametrization():
     assert idx == [n for n in range(4, 8) if bin(n).count("1") % 2 == 0]
 
 
-def _random_spec(rng, p, m, t):
-    pX = irreducible_poly(p, m)
+def _random_spec(rng, p, m, t, pX=None):
+    pX = pX or irreducible_poly(p, m)
     qvec = tuple(poly_from_int(rng.randrange(1, p**m), p) for _ in range(t))
     cfg = LatticeConfig(p, pX, qvec)
     while True:
@@ -304,6 +295,20 @@ def test_sublattice_cardinality_and_affine_agreement_random():
         assert len(pts) == p**spec.d
         _, _, affine = sublattice_affine(spec, cfg)
         assert sorted(pts) == sorted(affine)
+    # at p = 5 and 7 a random irreducible pX has low coefficients other than
+    # +-1, so the division's taps c_j scale the quotient digits they subtract
+    wide = 0
+    for _ in range(200):
+        p = rng.choice((5, 7))
+        m = rng.randrange(1, 5)
+        monics = (Poly(p, [rng.randrange(p) for _ in range(m)] + [1]) for _ in itertools.count())
+        pX = next(f for f in monics if poly_is_irreducible(f))
+        wide += sum(c not in (0, 1, p - 1) for c in pX.coeffs[:-1])
+        spec, cfg = _random_spec(rng, p, m, rng.randrange(1, 3), pX)
+        pts = sublattice_enumerate(spec, cfg)
+        assert len(pts) == p**spec.d
+        assert sorted(pts) == sorted(sublattice_affine(spec, cfg)[2])
+    assert wide
 
 
 @st.composite
@@ -411,12 +416,14 @@ def test_laurent_points_match_the_poly_product_route(case):
     cfg, indices = case
     p, m = cfg.p, cfg.m
     indices = [0, *indices, p**m - 1]
-    points = list(_laurent_points(indices, cfg))
-    assert len(points) == len(indices)
-    for n, point in zip(indices, points):
+    rows = list(_laurent_points(indices, cfg))
+    assert len(rows) == len(indices)
+    for n, row in zip(indices, rows):
+        assert all(type(num) is int and 0 <= num < p**m for num in row)
+        assert [digits(num, p, m) for num in row] == _laurent_oracle(n, cfg)
+        point = plattice_point_laurent(n, cfg)
         assert all(type(x) is BasePRational and (x.p, x.L) == (p, m) for x in point)
-        assert [_digits(x) for x in point] == _laurent_oracle(n, cfg)
-        assert plattice_point_laurent(n, cfg) == point
+        assert tuple(x.num for x in point) == row
 
 
 def _walked(spec, cfg):

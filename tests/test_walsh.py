@@ -29,6 +29,7 @@ from hybridqmc.plattice import (
     sublattice_enumerate,
 )
 from hybridqmc.seqgen import HaltonConfig
+from base_p_digits import digits
 from shape_oracle import shape_sums
 from hybridqmc.walsh import (
     _combined_residues,
@@ -56,9 +57,12 @@ FULL2 = SubLatticeSpec(2, 0, ResidueClass(Poly.one(2), Poly.zero(2)))
 
 
 def test_walsh_exponent_examples():
-    assert walsh_exponent(0, BasePRational(2, 3, 2)) == 0
-    assert walsh_exponent(1, BasePRational(2, 1, 1)) == 1
-    assert walsh_exponent(3, BasePRational(2, 3, 2)) == 0
+    assert walsh_exponent(0, 3, 2, 2) == 0
+    assert walsh_exponent(1, 1, 2, 1) == 1
+    assert walsh_exponent(3, 3, 2, 2) == 0
+    assert walsh_exponent(1, 2, 3, 2) == 0 and walsh_exponent(1, 3, 3, 2) == 1
+    assert walsh_exponent(2, 1, 2, 2) == 1  # k's digit at p^1 pairs with x_2
+    assert walsh_exponent(4, 3, 2, 2) == 0  # no digit of x past L
 
 
 def test_walsh_exponent_matches_complex_product():
@@ -67,16 +71,17 @@ def test_walsh_exponent_matches_complex_product():
     for _ in range(300):
         p = rng.choice((2, 3, 5))
         L = rng.randrange(0, 5)
-        x = BasePRational(p, rng.randrange(p**L), L)
+        num = rng.randrange(p**L)
+        x = digits(num, p, L) + (0,) * 4  # x_j = 0 past L
         k = rng.randrange(p**4)
         expected = 1.0 + 0j
         kk = k
         j = 1
         while kk:
             kk, kj = divmod(kk, p)
-            expected *= cmath.exp(2j * cmath.pi * kj * x.digit(j) / p)
+            expected *= cmath.exp(2j * cmath.pi * kj * x[j - 1] / p)
             j += 1
-        got = cmath.exp(2j * cmath.pi * walsh_exponent(k, x) / p)
+        got = cmath.exp(2j * cmath.pi * walsh_exponent(k, num, p, L) / p)
         assert abs(expected - got) < 1e-9
 
 
@@ -157,14 +162,12 @@ def test_scaled_phi_is_the_weighted_walsh_series(p):
     for m in range(1, 4):
         weights = [walsh_weight(k, p) for k in range(p**m)]
         for num in range(p**m):
-            x = BasePRational(p, num, m)
             series = [Fraction(0)] * p
             for k, w in enumerate(weights):
-                e = walsh_exponent(k, x)
+                e = walsh_exponent(k, num, p, m)
                 for s, c in enumerate(w):
                     series[(s + e) % p] += c
-            digits = [x.digit(j) for j in range(1, m + 1)]
-            assert 3 * p * _rational(series) == _scaled_phi(digits, p)
+            assert 3 * p * _rational(series) == _scaled_phi(digits(num, p, m), p)
 
 
 def test_accumulator_invariants():
@@ -205,8 +208,8 @@ def test_character_sum_matches_complex_sum():
         kvec = tuple(rng.randrange(p**m) for _ in range(t))
         acc = character_sum(spec, cfg, kvec)
         direct = sum(
-            cmath.exp(2j * cmath.pi * walsh_exponent_vec(kvec, pt) / p)
-            for pt in sublattice_enumerate(spec, cfg)
+            cmath.exp(2j * cmath.pi * walsh_exponent_vec(kvec, row, p, m) / p)
+            for row in sublattice_enumerate(spec, cfg)
         )
         assert abs(abs(direct) - character_magnitude(acc)) < 1e-9
 
@@ -289,13 +292,17 @@ def test_count_low_valuation_closed_form():
                 assert count_low_valuation(pX, u) == p ** (m - u) - 1
 
 
+def _coordinates(rows, p, m):
+    return [[BasePRational(p, num, m) for num in row] for row in rows]
+
+
 def test_walsh_bound_tight_case():
     cfg = LatticeConfig(2, PX2, (Poly.x(2),))
     bound = walsh_discrepancy_bound(FULL2, cfg)
     assert bound == 1
     from hybridqmc.discrepancy import PointSetD, star_discrepancy_exact
 
-    pts = PointSetD(sublattice_enumerate(FULL2, cfg))
+    pts = PointSetD(_coordinates(sublattice_enumerate(FULL2, cfg), 2, 2))
     assert pts.n * star_discrepancy_exact(pts) == 1
 
 
@@ -306,7 +313,7 @@ def test_walsh_bound_capped_and_sound():
     from hybridqmc.discrepancy import PointSetD, star_discrepancy_exact
 
     bound = walsh_discrepancy_bound(FULL2, cfg1)
-    pts = PointSetD(sublattice_enumerate(FULL2, cfg1))
+    pts = PointSetD(_coordinates(sublattice_enumerate(FULL2, cfg1), 2, 2))
     assert pts.n * star_discrepancy_exact(pts) <= bound
 
 
